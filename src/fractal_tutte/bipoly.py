@@ -18,6 +18,34 @@ from typing import Dict, Iterable, Iterator, Tuple, Union
 Exponents = Tuple[int, int]
 Scalar = Union[int, "BiPoly"]
 
+# Products whose smaller operand has more terms than this are packed into one
+# big-integer multiplication; smaller ones, such as the thousands of tiny
+# products in the oracles, keep the schoolbook loop over term pairs.
+_PACKED_MIN_TERMS = 32
+
+
+def _kronecker_pack(terms: Dict[Exponents, int], width: int, size: int) -> int:
+    """The int whose ``size``-byte slot ``i * width + j`` holds coefficient (i, j).
+
+    Negative coefficients go into a second buffer, made only when one
+    occurs, which is subtracted from the first.
+    """
+    length = (max(i * width + j for i, j in terms) + 1) * size
+    positive = bytearray(length)
+    negative = None
+    for (i, j), c in terms.items():
+        start = (i * width + j) * size
+        if c > 0:
+            positive[start:start + size] = c.to_bytes(size, "little")
+        else:
+            if negative is None:
+                negative = bytearray(length)
+            negative[start:start + size] = (-c).to_bytes(size, "little")
+    value = int.from_bytes(positive, "little")
+    if negative is not None:
+        value -= int.from_bytes(negative, "little")
+    return value
+
 
 class BiPoly:
     """Immutable sparse polynomial in x and y with integer coefficients."""
@@ -146,6 +174,18 @@ class BiPoly:
         return other + (-self)
 
     def __mul__(self, other: Scalar) -> "BiPoly":
+        """Product; large operands go through one big-integer multiplication.
+
+        When both operands have more than ``_PACKED_MIN_TERMS`` terms and
+        fill their exponent range densely, each is packed into a single int
+        by Kronecker substitution: term (i, j) lands in slot ``i * W + j``
+        with ``W = deg_y(a) + deg_y(b) + 1``, and every slot is wide enough
+        to hold any coefficient of the product with its sign.  One int
+        product (a square when both operands are the same object) then
+        carries every coefficient, and the slots are read back low to high
+        with a borrow.  Other products use the schoolbook loop over term
+        pairs.  Both paths give the same polynomial.
+        """
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -153,14 +193,45 @@ class BiPoly:
         if len(a) > len(b):
             a, b = b, a
         data: Dict[Exponents, int] = {}
-        for (ia, ja), ca in a.items():
-            for (ib, jb), cb in b.items():
-                key = (ia + ib, ja + jb)
-                acc = data.get(key, 0) + ca * cb
-                if acc:
-                    data[key] = acc
+        packed = len(a) > _PACKED_MIN_TERMS
+        if packed:
+            width = self.deg_y + other.deg_y + 1
+            slots = (self.deg_x + other.deg_x + 1) * width
+            coeff_bits = (max(map(int.bit_length, a.values()))
+                          + max(map(int.bit_length, b.values()))
+                          + len(a).bit_length() + 1)
+            size = (coeff_bits + 7) // 8
+            # The packed product's bytes bound its cost and memory; when they
+            # outnumber the term pairs the operands are sparse, and the
+            # schoolbook loop is cheaper.
+            packed = slots * size <= len(a) * len(b)
+        if packed:
+            packed_a = _kronecker_pack(a, width, size)
+            packed_b = packed_a if a is b else _kronecker_pack(b, width, size)
+            product = packed_a * packed_b
+            del packed_a, packed_b
+            digits = product.to_bytes(slots * size, "little", signed=True)
+            del product
+            half, full = 1 << (8 * size - 1), 1 << (8 * size)
+            borrow = 0
+            for slot, start in enumerate(range(0, slots * size, size)):
+                c = int.from_bytes(digits[start:start + size], "little") + borrow
+                if c >= half:
+                    c -= full
+                    borrow = 1
                 else:
-                    del data[key]
+                    borrow = 0
+                if c:
+                    data[divmod(slot, width)] = c
+        else:
+            for (ia, ja), ca in a.items():
+                for (ib, jb), cb in b.items():
+                    key = (ia + ib, ja + jb)
+                    acc = data.get(key, 0) + ca * cb
+                    if acc:
+                        data[key] = acc
+                    else:
+                        del data[key]
         result = BiPoly.__new__(BiPoly)
         result._terms = data
         return result

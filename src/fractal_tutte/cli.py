@@ -49,10 +49,28 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+def _decimal(value: int) -> str:
+    """Decimal digits of a result, however long.
+
+    Python caps int-to-str conversion at 4300 digits by default; exact
+    results pass that from moderate generations on.  The cap is lifted only
+    for this conversion and restored afterwards, so it still guards the
+    parsing of command-line numbers.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _rational_value(value: Fraction) -> Union[str, dict]:
     if value.denominator == 1:
-        return str(value.numerator)
-    return {"num": str(value.numerator), "den": str(value.denominator)}
+        return _decimal(value.numerator)
+    return {"num": _decimal(value.numerator), "den": _decimal(value.denominator)}
 
 
 def _dumps(record: dict) -> str:
@@ -175,7 +193,7 @@ def _cmd_invariant(args) -> str:
         "family": family.value,
         "n": args.n,
         "quantity": args.quantity,
-        "value": str(value),
+        "value": _decimal(value),
     }
     return _dumps(record)
 

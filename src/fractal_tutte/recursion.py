@@ -42,13 +42,23 @@ class EvalPair(NamedTuple):
     cofactor: Fraction
 
 
+# Each rule adds every quartic product (t^4, t^3 c, t^2 c^2, t c^3, c^4) to
+# its partial sums as soon as it is formed and drops it after its last use,
+# so symbolically at most one of them is alive beside the two partial sums.
+
+
 def _step_fractal(t: Ring, c: Ring, x: Ring, y: Ring) -> Tuple[Ring, Ring]:
     t2 = t * t
     c2 = c * c
     tc = t * c
-    t2c2 = t2 * c2
-    joined = y * (y - 1) * (t2 * t2) + 4 * y * (t2 * tc) + (2 * x + 2) * t2c2
-    cofactor = (2 * y + 2) * t2c2 + 4 * x * (tc * c2) + x * (x - 1) * (c2 * c2)
+    t2c2 = tc * tc
+    joined = (2 * x + 2) * t2c2
+    cofactor = (2 * y + 2) * t2c2
+    del t2c2
+    joined = joined + y * (y - 1) * (t2 * t2)
+    joined = joined + 4 * y * (t2 * tc)
+    cofactor = cofactor + 4 * x * (tc * c2)
+    cofactor = cofactor + x * (x - 1) * (c2 * c2)
     return joined, cofactor
 
 
@@ -56,9 +66,14 @@ def _step_flower22(t: Ring, c: Ring, x: Ring, y: Ring) -> Tuple[Ring, Ring]:
     t2 = t * t
     c2 = c * c
     tc = t * c
-    t2c2 = t2 * c2
-    joined = (y - 1) * (t2 * t2) + 4 * (t2 * tc) + 2 * (x - 1) * t2c2
-    cofactor = 4 * t2c2 + 4 * (x - 1) * (tc * c2) + (x - 1) * (x - 1) * (c2 * c2)
+    t2c2 = tc * tc
+    joined = 2 * (x - 1) * t2c2
+    cofactor = 4 * t2c2
+    del t2c2
+    joined = joined + (y - 1) * (t2 * t2)
+    joined = joined + 4 * (t2 * tc)
+    cofactor = cofactor + 4 * (x - 1) * (tc * c2)
+    cofactor = cofactor + (x - 1) * (x - 1) * (c2 * c2)
     return joined, cofactor
 
 
@@ -66,10 +81,18 @@ def _step_flower13(t: Ring, c: Ring, x: Ring, y: Ring) -> Tuple[Ring, Ring]:
     t2 = t * t
     c2 = c * c
     tc = t * c
-    t2c2 = t2 * c2
     xm1 = x - 1
-    joined = (y - 1) * (t2 * t2) + 4 * (t2 * tc) + 3 * xm1 * t2c2 + xm1 * xm1 * (tc * c2)
-    cofactor = 3 * t2c2 + 3 * xm1 * (tc * c2) + xm1 * xm1 * (c2 * c2)
+    t2c2 = tc * tc
+    joined = 3 * xm1 * t2c2
+    cofactor = 3 * t2c2
+    del t2c2
+    tcc2 = tc * c2
+    joined = joined + xm1 * xm1 * tcc2
+    cofactor = cofactor + 3 * xm1 * tcc2
+    del tcc2
+    joined = joined + (y - 1) * (t2 * t2)
+    joined = joined + 4 * (t2 * tc)
+    cofactor = cofactor + xm1 * xm1 * (c2 * c2)
     return joined, cofactor
 
 

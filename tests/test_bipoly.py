@@ -1,12 +1,15 @@
 """Polynomial core: canonical form, ring laws, evaluation, division, JSON."""
 
+import contextlib
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fractal_tutte.bipoly import BiPoly
+from fractal_tutte import bipoly
+from fractal_tutte.bipoly import _PACKED_MIN_TERMS, BiPoly
 
 X = BiPoly.x()
 Y = BiPoly.y()
@@ -82,6 +85,144 @@ class TestRingAxioms:
         assert a * ONE == a
         assert a * ZERO == ZERO
         assert a - a == ZERO
+
+
+def schoolbook(a, b):
+    """Reference product: every term pair, no packing."""
+    data = {}
+    for (i, j), c in a.terms().items():
+        for (k, m), d in b.terms().items():
+            data[(i + k, j + m)] = data.get((i + k, j + m), 0) + c * d
+    return BiPoly(data)
+
+
+@contextlib.contextmanager
+def packed_operands():
+    """Collect the slot size of every operand packed inside the block."""
+    sizes = []
+    original = bipoly._kronecker_pack
+
+    def spy(terms, width, size):
+        sizes.append(size)
+        return original(terms, width, size)
+
+    with mock.patch.object(bipoly, "_kronecker_pack", spy):
+        yield sizes
+
+
+# Exponent boxes (max x-exponent, max y-exponent) of at most 42 pairs:
+# x-only, y-only, square, tall and flat.  Two operands filling most of one
+# box are dense enough for the packed product.
+BOXES = [(40, 0), (0, 40), (5, 6), (2, 13), (13, 2)]
+
+
+@st.composite
+def dense_operands(draw, boxes=BOXES):
+    """Two polynomials filling most of one exponent box, above the threshold."""
+    x_max, y_max = draw(st.sampled_from(boxes))
+    grid = [(i, j) for i in range(x_max + 1) for j in range(y_max + 1)]
+    coefficient = draw(st.sampled_from([
+        st.integers(1, 10 ** 6),                       # positive, as in the recursion
+        st.integers(-99, 99).filter(bool),             # mixed signs
+        st.integers(-(2 ** 20), 2 ** 20).filter(bool),
+    ]))
+    operands = []
+    for _ in range(2):
+        keys = draw(st.permutations(grid))[:draw(st.integers(_PACKED_MIN_TERMS + 2, len(grid)))]
+        # a short list of coefficients, cycled over the terms, keeps drawing cheap
+        values = draw(st.lists(coefficient, min_size=1, max_size=9))
+        operands.append(BiPoly({key: values[k % len(values)] for k, key in enumerate(keys)}))
+    return tuple(operands)
+
+
+class TestPackedProduct:
+    """Large dense products are packed and agree with the schoolbook product."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dense_operands())
+    def test_matches_schoolbook(self, pair):
+        a, b = pair
+        with packed_operands() as sizes:
+            product = a * b
+        assert len(sizes) == 2
+        assert product == schoolbook(a, b)
+        assert all(c != 0 for c in product.terms().values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(dense_operands())
+    def test_square_of_same_object(self, pair):
+        a = pair[0]
+        with packed_operands() as sizes:
+            square = a * a
+        assert len(sizes) == 1
+        assert square == schoolbook(a, a)
+        assert square == a * BiPoly(a.terms())
+
+    @settings(max_examples=30, deadline=None)
+    @given(dense_operands(boxes=[(40, 0)]), st.integers(_PACKED_MIN_TERMS + 1, 60))
+    def test_interior_coefficients_cancel(self, pair, length):
+        # (1 + x + ... + x^(L-1)) * ((x - 1) * h) = (x^L - 1) * h: most
+        # coefficients of the product cancel to zero and must not be stored.
+        h = pair[0]
+        shifted = (X - 1) * h
+        assume(len(shifted) > _PACKED_MIN_TERMS)
+        geometric = BiPoly({(i, 0): 1 for i in range(length)})
+        with packed_operands() as sizes:
+            product = geometric * shifted
+        assert sizes
+        assert product == BiPoly({(length, 0): 1, (0, 0): -1}) * h
+        assert all(c != 0 for c in product.terms().values())
+
+    @settings(max_examples=10, deadline=None)
+    @given(dense_operands())
+    def test_zero_operand_and_opposite_sign(self, pair):
+        a = pair[0]
+        assert a * ZERO == ZERO
+        assert ZERO * a == ZERO
+        with packed_operands() as sizes:
+            assert a * a + a * (-a) == ZERO
+        assert sizes
+
+    @settings(max_examples=10, deadline=None)
+    @given(dense_operands())
+    def test_power(self, pair):
+        a = pair[0]
+        with packed_operands() as sizes:
+            cube = a ** 3
+        assert sizes
+        assert cube == schoolbook(a, schoolbook(a, a))
+
+    @pytest.mark.parametrize("bits", range(1, 26))
+    def test_coefficients_at_the_slot_bound(self, bits):
+        # Every coefficient of the operands at its largest for its bit length,
+        # so the middle coefficients of the product come close to the slot's
+        # capacity, with both signs.
+        top = (1 << bits) - 1
+        a = BiPoly({(i, 0): top for i in range(40)})
+        b = BiPoly({(i, 0): -top for i in range(45)})
+        with packed_operands() as sizes:
+            assert a * b == schoolbook(a, b)
+            assert b * b == schoolbook(b, b)
+        assert len(sizes) == 3
+
+    def test_coefficients_above_2_to_the_1000(self):
+        # Wide slots pay off only with many terms: 600 and 700 terms, one
+        # operand with mixed signs.
+        a = BiPoly({(i, 0): (-1) ** i * (2 ** 1030 - 3 ** i) for i in range(600)})
+        b = BiPoly({(i, 0): 5 ** 440 - 7 * i for i in range(700)})
+        with packed_operands() as sizes:
+            product = a * b
+        assert len(sizes) == 2
+        assert product == schoolbook(a, b)
+
+    def test_sparse_operands_keep_the_schoolbook_loop(self):
+        # Forty terms spread over exponents up to 4 * 10^7: packing would need
+        # petabytes of mostly empty slots.
+        a = BiPoly({(10 ** 6 * i, 10 ** 6 * i): i + 1 for i in range(40)})
+        with packed_operands() as sizes:
+            square = a * a
+        assert not sizes
+        assert square == schoolbook(a, a)
 
 
 class TestPower:

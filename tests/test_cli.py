@@ -5,12 +5,16 @@ byte-level determinism of the emitted records can be asserted directly.
 """
 
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
-from fractal_tutte import recursion
+from fractal_tutte import invariants, recursion
 from fractal_tutte.cli import main
-from fractal_tutte.lattices import LatticeFamily
+from fractal_tutte.lattices import LatticeFamily, lattice_counts
+
+HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
 
 
 def run(capsys, *argv):
@@ -172,6 +176,74 @@ class TestPotts:
             capsys, "potts", "--family", "fractal", "--n", "1", "--q", "2", "--v", "0"
         )
         assert code == 4 and "domain error" in err
+
+
+def assert_decimal(text: str, expected: int) -> None:
+    """text is the decimal form of expected, checked without str(expected).
+
+    Converting a 300,000-digit int to decimal takes seconds, so the digits
+    are compared through their count and their residue modulo a 127-bit
+    prime, folded in chunks below the interpreter's int-to-str digit limit.
+    """
+    prime = (1 << 127) - 1
+    digits = text[1:] if text.startswith("-") else text
+    assert digits.isdigit() and digits[0] != "0"
+    assert text.startswith("-") == (expected < 0)
+    assert 10 ** (len(digits) - 1) <= abs(expected) < 10 ** len(digits)
+    residue = 0
+    for start in range(0, len(digits), 1000):
+        chunk = digits[start:start + 1000]
+        residue = (residue * pow(10, len(chunk), prime) + int(chunk)) % prime
+    assert residue == abs(expected) % prime
+
+
+class TestResultsPastDigitLimit:
+    """Results longer than 4300 decimal digits are printed in full."""
+
+    def run_big(self, capsys, *argv):
+        limit = sys.get_int_max_str_digits() if HAS_DIGIT_LIMIT else None
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        if HAS_DIGIT_LIMIT:
+            assert sys.get_int_max_str_digits() == limit
+        return json.loads(out)["value"]
+
+    def test_eval_integer_point(self, capsys):
+        value = self.run_big(capsys, "eval", "--family", "flower22", "--n", "7",
+                             "--x", "2", "--y", "2")
+        _, edges = lattice_counts(LatticeFamily.FLOWER22, 7)
+        assert len(value) > 4300
+        assert_decimal(value, 2 ** edges)
+
+    def test_eval_rational_point(self, capsys):
+        value = self.run_big(capsys, "eval", "--family", "fractal", "--n", "8",
+                             "--x=-3/7", "--y=-3/7")
+        expected = invariants.diagonal_closed_value(8, Fraction(-3, 7))
+        assert_decimal(value["num"], expected.numerator)
+        assert_decimal(value["den"], expected.denominator)
+
+    def test_spanning_trees(self, capsys):
+        value = self.run_big(capsys, "invariant", "--family", "fractal", "--n", "10",
+                             "--quantity", "spanning-trees")
+        expected = invariants.spanning_tree_count(LatticeFamily.FRACTAL, 10)
+        assert_decimal(value, expected)
+
+    def test_potts(self, capsys):
+        # q = v^2 puts the matching Tutte point on the diagonal x = y = v + 1
+        value = self.run_big(capsys, "potts", "--family", "fractal", "--n", "7",
+                             "--q", "4", "--v=-2")
+        params = invariants.PottsParams(4, -2)
+        vertices, _ = lattice_counts(LatticeFamily.FRACTAL, 7)
+        tutte = invariants.diagonal_closed_value(7, -1)
+        expected = invariants.potts_partition(vertices, 1, tutte, params)
+        assert expected.denominator == 1
+        assert_decimal(value, expected.numerator)
+
+    @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="interpreter has no digit limit")
+    def test_limit_still_guards_arguments(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eval", "--family", "fractal", "--n", "1", "--x", "1" * 5000, "--y", "1"])
+        assert excinfo.value.code == 2
 
 
 class TestGrowth:

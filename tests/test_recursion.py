@@ -5,6 +5,7 @@ A state pair holds the specials-joined part and the divided severed part
 for generation n+1; assembling gives the full Tutte polynomial.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -149,6 +150,22 @@ class TestStructuralInvariants:
             pair = symbolic_n4[family]
             severed = pair.assemble() - pair.joined
             assert severed.divide_exact_x_minus_1() == pair.cofactor
+
+
+class TestByteIdenticalOutput:
+    # SHA-256 of the canonical JSON of T(G_4), recorded when every product
+    # still went through the schoolbook loop; the packed product must not
+    # change a byte.
+    N4_JSON_SHA256 = {
+        LatticeFamily.FRACTAL: "c70bf9545437b6544eeeddbf367598cdb15f0d0192845da6da16c074494cd20c",
+        LatticeFamily.FLOWER22: "e9c2b0a519e573747adb30e57ec9b67b62b50e60b1e3ebaf39bd7bcd40ab2231",
+        LatticeFamily.FLOWER13: "d14fcb42a12f77df040f10b5540b4f494b45615db775ccb73c788c1d33f39200",
+    }
+
+    def test_generation_four_json_digest(self, symbolic_n4):
+        for family, digest in self.N4_JSON_SHA256.items():
+            text = symbolic_n4[family].assemble().to_json()
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, family
 
 
 class TestCaps:
