@@ -9,10 +9,11 @@ diagnostics go to stderr.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 from . import checks, invariants, oracle, recursion
 from .errors import CapExceeded, DomainError
@@ -23,6 +24,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_DOMAIN = 4
+
+# Integers up to this many bits go to Decimal directly in _decimal.
+_DECIMAL_PIECE_BITS = 1024
 
 
 def _family(text: str) -> LatticeFamily:
@@ -50,21 +54,36 @@ def _nonnegative(text: str) -> int:
 
 
 def _decimal(value: int) -> str:
-    """Decimal digits of a result, however long.
+    """Decimal digits of a result, however long, in near-linear time.
 
-    Python caps int-to-str conversion at 4300 digits by default; exact
-    results pass that from moderate generations on.  The cap is lifted only
-    for this conversion and restored afterwards, so it still guards the
-    parsing of command-line numbers.
+    str(int) takes time quadratic in the length and is capped at 4300
+    digits by default (the cap stays in force for parsing command-line
+    numbers).  Instead the int is split in binary halves, and the halves are
+    joined as lo + hi * 2**w in Decimal arithmetic, whose products are
+    subquadratic and whose str() has no cap.
     """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return str(value)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    powers: Dict[int, decimal.Decimal] = {}
+
+    def power_of_two(width: int) -> decimal.Decimal:
+        if width not in powers:
+            half = width // 2
+            powers[width] = (decimal.Decimal(2) ** width if width <= _DECIMAL_PIECE_BITS
+                             else power_of_two(half) * power_of_two(width - half))
+        return powers[width]
+
+    def convert(n: int, width: int) -> decimal.Decimal:
+        if width <= _DECIMAL_PIECE_BITS:
+            return decimal.Decimal(n)
+        half = width // 2
+        hi = n >> half
+        return convert(n - (hi << half), half) + convert(hi, width - half) * power_of_two(half)
+
+    with decimal.localcontext() as context:
+        context.prec = decimal.MAX_PREC
+        context.Emax = decimal.MAX_EMAX
+        context.traps[decimal.Inexact] = True
+        digits = str(convert(abs(value), abs(value).bit_length()))
+    return "-" + digits if value < 0 else digits
 
 
 def _rational_value(value: Fraction) -> Union[str, dict]:

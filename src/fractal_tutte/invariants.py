@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Dict, Tuple, Union
 
 from .bipoly import BiPoly
 from .errors import CapExceeded, DomainError
 from .lattices import LatticeFamily, Multigraph, lattice_counts
-from .recursion import SYMBOLIC_GENERATION_CAP, tutte_eval
+from .recursion import SYMBOLIC_GENERATION_CAP, lowest_terms, tutte_eval
 
 CLOSED_FORM_CAP = 10
 POTTS_STATE_CAP = 2 ** 24
@@ -39,17 +39,23 @@ def _exact_div(numerator: int, denominator: int) -> int:
     return quotient
 
 
+def _tree_count_exponents(family: LatticeFamily, n: int) -> Dict[int, int]:
+    """The spanning-tree count of generation n as {base: exponent}."""
+    power = 4 ** n
+    if family is LatticeFamily.FRACTAL:
+        return {2: power - 1}
+    if family is LatticeFamily.FLOWER22:
+        return {2: _exact_div(2 * (power - 1), 3)}
+    return {3: _exact_div(power - 3 * n - 1, 9), 4: _exact_div(2 * power + 3 * n - 2, 9)}
+
+
 def spanning_tree_count(family: LatticeFamily, n: int) -> int:
     """Number of spanning trees of generation n, in closed form."""
     _check_generation(n)
-    power = 4 ** n
-    if family is LatticeFamily.FRACTAL:
-        return 2 ** (power - 1)
-    if family is LatticeFamily.FLOWER22:
-        return 2 ** _exact_div(2 * (power - 1), 3)
-    exp3 = _exact_div(power - 3 * n - 1, 9)
-    exp4 = _exact_div(2 * power + 3 * n - 2, 9)
-    return 3 ** exp3 * 4 ** exp4
+    count = 1
+    for base, exponent in _tree_count_exponents(family, n).items():
+        count *= base ** exponent
+    return count
 
 
 def acyclic_root_connected_orientations(n: int) -> int:
@@ -116,18 +122,13 @@ class GrowthConstant:
 
 _LN2 = math.log(2.0)
 _LN3 = math.log(3.0)
+_LOGS = {2: _LN2, 3: _LN3, 4: 2 * _LN2}
 
 
 def _log_spanning_trees(family: LatticeFamily, n: int) -> float:
     """ln of the spanning-tree count, from closed-form exponents only."""
-    power = 4 ** n
-    if family is LatticeFamily.FRACTAL:
-        return (power - 1) * _LN2
-    if family is LatticeFamily.FLOWER22:
-        return _exact_div(2 * (power - 1), 3) * _LN2
-    exp3 = _exact_div(power - 3 * n - 1, 9)
-    exp4 = _exact_div(2 * power + 3 * n - 2, 9)
-    return exp3 * _LN3 + exp4 * 2 * _LN2
+    return sum(exponent * _LOGS[base]
+               for base, exponent in _tree_count_exponents(family, n).items())
 
 
 _GROWTH_LIMITS = {
@@ -215,8 +216,17 @@ def potts_direct(g: Multigraph, params: PottsParams) -> Fraction:
 
 
 def potts_lattice(family: LatticeFamily, n: int, params: PottsParams) -> Fraction:
-    """Partition function of a connected lattice generation via the recursion."""
+    """Partition function of a connected lattice generation via the recursion.
+
+    Z = q * v^(|V| - 1) * T is formed as one integer fraction and reduced
+    once; every prime of its denominator divides q.den * v.den * D, where D
+    is the common denominator of the Tutte-plane point.
+    """
     x, y = tutte_arguments(params)
     vertices, _ = lattice_counts(family, n)
     value = tutte_eval(family, n, x, y)
-    return potts_partition(vertices, 1, value, params)
+    q, v = params.q, params.v
+    base = q.denominator * v.denominator * math.lcm(x.denominator, y.denominator)
+    return lowest_terms(q.numerator * v.numerator ** (vertices - 1) * value.numerator,
+                        q.denominator * v.denominator ** (vertices - 1) * value.denominator,
+                        base)

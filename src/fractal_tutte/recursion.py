@@ -6,12 +6,14 @@ of the remaining part after its guaranteed (x - 1) factor is pulled out.
 One step expresses the next pair in the four copies glued for the family;
 the full polynomial is reassembled as joined + (x - 1) * cofactor.
 
-The step rules are written once over an arbitrary commutative ring, so the
-same code runs symbolically on polynomials and pointwise on exact rationals.
+The step rules are written once, homogeneously, over an arbitrary commutative
+ring, so the same code runs symbolically on polynomials and pointwise on the
+integer numerators of a rational point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Tuple, Union
@@ -23,7 +25,7 @@ from .lattices import LatticeFamily
 SYMBOLIC_GENERATION_CAP = 4
 EVAL_GENERATION_CAP = 10
 
-Ring = Union[BiPoly, Fraction]
+Ring = Union[BiPoly, int]
 
 
 @dataclass(frozen=True)
@@ -42,61 +44,67 @@ class EvalPair(NamedTuple):
     cofactor: Fraction
 
 
+# Each rule is written homogeneously in (x, y, d): its coefficients have
+# degree at most 2 in (x, y) and are scaled by d^2.  With d = 1 it is the
+# step at (x, y), symbolic or not; with integers X, Y, D it maps numerators
+# over D^e to numerators over D^(4e + 2) at the point (X/D, Y/D).
+#
 # Each rule adds every quartic product (t^4, t^3 c, t^2 c^2, t c^3, c^4) to
 # its partial sums as soon as it is formed and drops it after its last use,
 # so symbolically at most one of them is alive beside the two partial sums.
 
 
-def _step_fractal(t: Ring, c: Ring, x: Ring, y: Ring) -> Tuple[Ring, Ring]:
+def _step_fractal(t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
     t2 = t * t
     c2 = c * c
     tc = t * c
     t2c2 = tc * tc
-    joined = (2 * x + 2) * t2c2
-    cofactor = (2 * y + 2) * t2c2
+    joined = (2 * x * d + 2 * d * d) * t2c2
+    cofactor = (2 * y * d + 2 * d * d) * t2c2
     del t2c2
-    joined = joined + y * (y - 1) * (t2 * t2)
-    joined = joined + 4 * y * (t2 * tc)
-    cofactor = cofactor + 4 * x * (tc * c2)
-    cofactor = cofactor + x * (x - 1) * (c2 * c2)
+    joined = joined + y * (y - d) * (t2 * t2)
+    joined = joined + 4 * y * d * (t2 * tc)
+    cofactor = cofactor + 4 * x * d * (tc * c2)
+    cofactor = cofactor + x * (x - d) * (c2 * c2)
     return joined, cofactor
 
 
-def _step_flower22(t: Ring, c: Ring, x: Ring, y: Ring) -> Tuple[Ring, Ring]:
+def _step_flower22(t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
     t2 = t * t
     c2 = c * c
     tc = t * c
+    xm1 = x - d
     t2c2 = tc * tc
-    joined = 2 * (x - 1) * t2c2
-    cofactor = 4 * t2c2
+    joined = 2 * xm1 * d * t2c2
+    cofactor = 4 * d * d * t2c2
     del t2c2
-    joined = joined + (y - 1) * (t2 * t2)
-    joined = joined + 4 * (t2 * tc)
-    cofactor = cofactor + 4 * (x - 1) * (tc * c2)
-    cofactor = cofactor + (x - 1) * (x - 1) * (c2 * c2)
-    return joined, cofactor
-
-
-def _step_flower13(t: Ring, c: Ring, x: Ring, y: Ring) -> Tuple[Ring, Ring]:
-    t2 = t * t
-    c2 = c * c
-    tc = t * c
-    xm1 = x - 1
-    t2c2 = tc * tc
-    joined = 3 * xm1 * t2c2
-    cofactor = 3 * t2c2
-    del t2c2
-    tcc2 = tc * c2
-    joined = joined + xm1 * xm1 * tcc2
-    cofactor = cofactor + 3 * xm1 * tcc2
-    del tcc2
-    joined = joined + (y - 1) * (t2 * t2)
-    joined = joined + 4 * (t2 * tc)
+    joined = joined + (y - d) * d * (t2 * t2)
+    joined = joined + 4 * d * d * (t2 * tc)
+    cofactor = cofactor + 4 * xm1 * d * (tc * c2)
     cofactor = cofactor + xm1 * xm1 * (c2 * c2)
     return joined, cofactor
 
 
-_STEP_RULES: dict[LatticeFamily, Callable[[Ring, Ring, Ring, Ring], Tuple[Ring, Ring]]] = {
+def _step_flower13(t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
+    t2 = t * t
+    c2 = c * c
+    tc = t * c
+    xm1 = x - d
+    t2c2 = tc * tc
+    joined = 3 * xm1 * d * t2c2
+    cofactor = 3 * d * d * t2c2
+    del t2c2
+    tcc2 = tc * c2
+    joined = joined + xm1 * xm1 * tcc2
+    cofactor = cofactor + 3 * xm1 * d * tcc2
+    del tcc2
+    joined = joined + (y - d) * d * (t2 * t2)
+    joined = joined + 4 * d * d * (t2 * tc)
+    cofactor = cofactor + xm1 * xm1 * (c2 * c2)
+    return joined, cofactor
+
+
+_STEP_RULES: dict[LatticeFamily, Callable[[Ring, Ring, Ring, Ring, int], Tuple[Ring, Ring]]] = {
     LatticeFamily.FRACTAL: _step_fractal,
     LatticeFamily.FLOWER22: _step_flower22,
     LatticeFamily.FLOWER13: _step_flower13,
@@ -110,7 +118,7 @@ def initial_pair() -> TuttePair:
 
 def step(family: LatticeFamily, pair: TuttePair) -> TuttePair:
     rule = _STEP_RULES[family]
-    joined, cofactor = rule(pair.joined, pair.cofactor, BiPoly.x(), BiPoly.y())
+    joined, cofactor = rule(pair.joined, pair.cofactor, BiPoly.x(), BiPoly.y(), 1)
     return TuttePair(joined, cofactor)
 
 
@@ -148,21 +156,71 @@ def tutte_symbolic(family: LatticeFamily, n: int,
     return tutte_pair(family, n, generation_cap).assemble()
 
 
+def _homogeneous(x: Fraction, y: Fraction) -> Tuple[int, int, int]:
+    """(X, Y, D) with x = X/D and y = Y/D over D = lcm of their denominators."""
+    d = math.lcm(x.denominator, y.denominator)
+    return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
+
+
+if hasattr(Fraction, "_from_coprime_ints"):
+    _coprime = Fraction._from_coprime_ints
+else:
+    def _coprime(numerator: int, denominator: int) -> Fraction:
+        return Fraction(numerator, denominator, _normalize=False)
+
+
+def lowest_terms(numerator: int, denominator: int, base: int) -> Fraction:
+    """numerator/denominator as a Fraction, given that every prime factor of
+    the positive denominator divides the small positive base.
+
+    Every gcd taken has base, or a divisor of it, as one operand, so the
+    common case of a fraction already in lowest terms costs two remainders
+    by base; base itself is never factored.
+    """
+    if not numerator:
+        return Fraction(0)
+    while True:
+        shared = math.gcd(denominator % base, base)
+        g = math.gcd(numerator % shared, shared)
+        if g == 1:
+            return _coprime(numerator, denominator)
+        # Divide by g, g^2, g^4, ... while both stay divisible.
+        power = g
+        while True:
+            num, num_rem = divmod(numerator, power)
+            den, den_rem = divmod(denominator, power)
+            if num_rem or den_rem:
+                break
+            numerator, denominator, power = num, den, power * power
+
+
 def eval_pair(family: LatticeFamily, n: int,
               x: Union[int, Fraction], y: Union[int, Fraction],
               generation_cap: int = EVAL_GENERATION_CAP) -> EvalPair:
-    """Split state evaluated at a rational point, without symbolic blowup."""
+    """Split state evaluated at a rational point, without symbolic blowup.
+
+    With x = X/D and y = Y/D the steps run on integers: the state is a pair
+    of numerators over D^e, and e -> 4e + 2 per step.  Powers of D that both
+    numerators share are taken out after each step; on the line x = 1 of the
+    flowers they are about half of D^e, and left in they would make every
+    later product twice as long.  Each part is reduced once at the end.
+    """
     if n < 0:
         raise ValueError("generation must be nonnegative")
     if n > generation_cap:
         raise CapExceeded(f"evaluation generation {n} exceeds cap {generation_cap}")
-    x = Fraction(x)
-    y = Fraction(y)
-    joined, cofactor = Fraction(1), Fraction(1)
+    big_x, big_y, d = _homogeneous(Fraction(x), Fraction(y))
+    joined, cofactor, e = 1, 1, 0
     rule = _STEP_RULES[family]
     for _ in range(n):
-        joined, cofactor = rule(joined, cofactor, x, y)
-    return EvalPair(joined, cofactor)
+        joined, cofactor = rule(joined, cofactor, big_x, big_y, d)
+        e = 4 * e + 2
+        while e and d > 1 and not (joined % d or cofactor % d):
+            joined //= d
+            cofactor //= d
+            e -= 1
+    scale = d ** e
+    return EvalPair(lowest_terms(joined, scale, d), lowest_terms(cofactor, scale, d))
 
 
 def tutte_eval(family: LatticeFamily, n: int,
@@ -170,4 +228,13 @@ def tutte_eval(family: LatticeFamily, n: int,
                generation_cap: int = EVAL_GENERATION_CAP) -> Fraction:
     """Exact value of the generation-n Tutte polynomial at a rational point."""
     joined, cofactor = eval_pair(family, n, x, y, generation_cap)
-    return joined + (Fraction(x) - 1) * cofactor
+    big_x, _, d = _homogeneous(Fraction(x), Fraction(y))
+    # J + (x - 1) C = a/b + (X - D) c / (D m).  When one of b and D m divides
+    # the other, the larger is their lcm; otherwise both divide D^(e_n + 1),
+    # where e_n = 2 (4^n - 1) / 3 bounds the exponent of eval_pair's state.
+    b, dm = joined.denominator, d * cofactor.denominator
+    small, large = sorted((b, dm))
+    common = large if large % small == 0 else d ** (2 * (4 ** n - 1) // 3 + 1)
+    numerator = (joined.numerator * (common // b)
+                 + (big_x - d) * cofactor.numerator * (common // dm))
+    return lowest_terms(numerator, common, d)

@@ -4,14 +4,16 @@ All tests drive ``main`` in-process and read stdout/stderr through capsys so
 byte-level determinism of the emitted records can be asserted directly.
 """
 
+import hashlib
 import json
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
 from fractal_tutte import invariants, recursion
-from fractal_tutte.cli import main
+from fractal_tutte.cli import _DECIMAL_PIECE_BITS, _decimal, main
 from fractal_tutte.lattices import LatticeFamily, lattice_counts
 
 HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
@@ -246,6 +248,64 @@ class TestResultsPastDigitLimit:
         assert excinfo.value.code == 2
 
 
+class TestDecimalDigits:
+    """_decimal gives the digits of str(int), without its digit cap."""
+
+    @staticmethod
+    def decimal_strings(values):
+        limit = sys.get_int_max_str_digits() if HAS_DIGIT_LIMIT else None
+        if HAS_DIGIT_LIMIT:
+            sys.set_int_max_str_digits(0)
+        try:
+            return [(_decimal(v), str(v)) for v in values]
+        finally:
+            if HAS_DIGIT_LIMIT:
+                sys.set_int_max_str_digits(limit)
+
+    def test_small_and_signed_values(self):
+        for got, expected in self.decimal_strings([0, 1, -1, 9, -10, 2 ** 64, -(3 ** 500)]):
+            assert got == expected
+
+    def test_powers_of_ten_around_the_split_sizes(self):
+        values = []
+        for bits in (_DECIMAL_PIECE_BITS, 2 * _DECIMAL_PIECE_BITS, 8 * _DECIMAL_PIECE_BITS):
+            k = int(bits * 0.30103)  # 10^k has about `bits` bits
+            for j in range(k - 2, k + 3):
+                values += [10 ** j, 10 ** j - 1, -(10 ** j)]
+        for got, expected in self.decimal_strings(values):
+            assert got == expected
+
+    def test_random_values(self):
+        rng = random.Random(4300)
+        values = [rng.choice((1, -1)) * rng.getrandbits(bits)
+                  for bits in (100, 1023, 1024, 1025, 5000, 65_537, 200_000)]
+        for got, expected in self.decimal_strings(values):
+            assert got == expected
+
+
+class TestRationalPointOutput:
+    """stdout at rational points, pinned when the evaluation ran in Fraction."""
+
+    STDOUT_SHA256 = [
+        (("eval", "--family", "fractal", "--n", "7", "--x", "5/2", "--y", "5/2"),
+         "7ab3df7e0c6fd54e1296558d0c5e4780523584f1aae19ef069c7f4b9cbd25f7e"),
+        (("eval", "--family", "flower22", "--n", "7", "--x", "7/2", "--y=-7/2"),
+         "f5399e5ac94e704096396e55cdebe77aa9a7b56fccea455c507a22b95d941c7e"),
+        (("eval", "--family", "flower13", "--n", "7", "--x", "9/2", "--y", "11/2"),
+         "3965519a4e28e019e2efc9fd6052032b18cc101363caaa407ac08589a304f0cc"),
+        (("eval", "--family", "fractal", "--n", "6", "--x", "3/7", "--y=-5/2"),
+         "e2165d0a41361b2797b95e25d19f76dcfff5d55348cdb3df573571e22e2ead21"),
+        (("potts", "--family", "fractal", "--n", "7", "--q", "9/4", "--v", "3/2"),
+         "76d020a56de61c4ca60446ff934073bf6c2da8b9e35659560bf0f2da528534ea"),
+    ]
+
+    def test_stdout_digests(self, capsys):
+        for argv, digest in self.STDOUT_SHA256:
+            code, out, err = run(capsys, *argv)
+            assert code == 0, err
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 class TestGrowth:
     def test_record_fields(self, capsys):
         code, out, _ = run(capsys, "growth", "--family", "flower22", "--n-max", "4")
@@ -280,8 +340,8 @@ class TestVerify:
     def test_detects_a_mutated_step_rule(self, capsys, monkeypatch):
         original = recursion._STEP_RULES[LatticeFamily.FRACTAL]
 
-        def broken(t, c, x, y):
-            joined, cofactor = original(t, c, x, y)
+        def broken(t, c, x, y, d):
+            joined, cofactor = original(t, c, x, y, d)
             return joined + 1, cofactor
 
         monkeypatch.setitem(recursion._STEP_RULES, LatticeFamily.FRACTAL, broken)

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.errors import CapExceeded, DomainError
@@ -24,7 +26,7 @@ from fractal_tutte.invariants import (
 )
 from fractal_tutte.lattices import LatticeFamily, Multigraph, build_lattice, lattice_counts
 from fractal_tutte.oracle import _graph_rank, tutte_subgraph_expansion
-from fractal_tutte.recursion import tutte_eval
+from fractal_tutte.recursion import tutte_eval, tutte_symbolic
 
 from helpers import random_multigraph
 
@@ -223,6 +225,22 @@ class TestPottsViaTutte:
         t = tutte_eval(LatticeFamily.FLOWER22, 2, Fraction(5, 2), Fraction(3))
         vertices, _ = lattice_counts(LatticeFamily.FLOWER22, 2)
         assert value == 3 * Fraction(2) ** (vertices - 1) * t
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(list(LatticeFamily)), st.integers(0, 2),
+           st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6, 35])),
+           st.builds(Fraction, st.integers(-30, 30).filter(bool),
+                     st.sampled_from([1, 2, 3, 5, 6, 35])))
+    @example(LatticeFamily.FRACTAL, 2, Fraction(9, 4), Fraction(3, 2))
+    @example(LatticeFamily.FLOWER13, 2, Fraction(1), Fraction(3, 2))
+    def test_lattice_route_at_rational_parameters(self, family, n, q, v):
+        params = PottsParams(q, v)
+        x, y = tutte_arguments(params)
+        vertices, _ = lattice_counts(family, n)
+        expected = potts_partition(vertices, 1, tutte_symbolic(family, n).evaluate(x, y), params)
+        got = potts_lattice(family, n, params)
+        assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+        assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1
 
     def test_partition_identity_on_random_multigraphs(self):
         rng = random.Random(6022)

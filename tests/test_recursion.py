@@ -6,10 +6,13 @@ for generation n+1; assembling gives the full Tutte polynomial.
 """
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.checks import run_oracle_gates
@@ -20,6 +23,7 @@ from fractal_tutte.recursion import (
     TuttePair,
     eval_pair,
     initial_pair,
+    lowest_terms,
     step,
     step_flower13,
     step_flower22,
@@ -126,6 +130,74 @@ class TestPointwiseEvaluation:
     def test_minus_one_minus_one_spot(self):
         value = tutte_eval(LatticeFamily.FRACTAL, 2, -1, -1)
         assert abs(value) == 32
+
+
+# Denominators: composite (6, 30, 35), prime, and the prime 2^61 - 1.
+DENOMINATORS = st.sampled_from([1, 2, 3, 5, 6, 7, 30, 35, 2 ** 61 - 1])
+RATIONALS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.builds(Fraction, st.integers(-40, 40), DENOMINATORS),
+)
+SMALL_PAIRS = {(family, n): tutte_pair(family, n) for family in LatticeFamily for n in range(3)}
+
+
+def assert_same_fraction(got: Fraction, expected: Fraction) -> None:
+    assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+    assert got.denominator > 0
+    assert math.gcd(got.numerator, got.denominator) == 1
+
+
+class TestIntegerEvaluation:
+    """The pointwise steps run on integer numerators over a power of D."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(list(LatticeFamily)), st.integers(0, 2), RATIONALS, RATIONALS)
+    @example(LatticeFamily.FLOWER13, 2, Fraction(1), Fraction(1, 5))
+    @example(LatticeFamily.FLOWER22, 2, Fraction(1, 2), Fraction(1, 3))
+    @example(LatticeFamily.FRACTAL, 2, Fraction(3, 7), Fraction(-5, 2))
+    @example(LatticeFamily.FRACTAL, 2, Fraction(1, 2 ** 61 - 1), Fraction(0))
+    @example(LatticeFamily.FLOWER22, 2, Fraction(1, 6), Fraction(-2, 35))
+    def test_matches_symbolic_polynomial(self, family, n, x, y):
+        symbolic = SMALL_PAIRS[family, n]
+        assert_same_fraction(tutte_eval(family, n, x, y), symbolic.assemble().evaluate(x, y))
+        pair = eval_pair(family, n, x, y)
+        assert_same_fraction(pair.joined, symbolic.joined.evaluate(x, y))
+        assert_same_fraction(pair.cofactor, symbolic.cofactor.evaluate(x, y))
+
+    def test_no_gcd_of_two_large_operands(self, monkeypatch):
+        # At (1, 1/5) about half of each flower13 denominator cancels.
+        cases = [(LatticeFamily.FRACTAL, Fraction(3, 7), Fraction(-5, 2)),
+                 (LatticeFamily.FLOWER13, Fraction(1), Fraction(1, 5))]
+        expected = [tutte_pair(family, 3).assemble().evaluate(x, y) for family, x, y in cases]
+        gcd = math.gcd
+
+        def checked_gcd(*operands):
+            assert min(abs(k) for k in operands) < 2 ** 64
+            return gcd(*operands)
+        monkeypatch.setattr(math, "gcd", checked_gcd)
+        got = [tutte_eval(family, 3, x, y) for family, x, y in cases]
+        monkeypatch.undo()
+        for value, reference in zip(got, expected):
+            assert_same_fraction(value, reference)
+
+
+class TestLowestTerms:
+    def test_several_division_rounds(self):
+        m = 5 ** 30 * 7
+        numerator = 2 ** 40 * 3 ** 5 * m
+        for sign in (1, -1):
+            got = lowest_terms(sign * numerator, 6 ** 60, 6)
+            assert_same_fraction(got, Fraction(sign * numerator, 6 ** 60))
+            assert got.denominator == 2 ** 20 * 3 ** 55
+
+    def test_already_in_lowest_terms(self):
+        p = 2 ** 61 - 1
+        assert_same_fraction(lowest_terms(3 ** 200, p ** 40, p), Fraction(3 ** 200, p ** 40))
+
+    def test_zero_and_integers(self):
+        assert_same_fraction(lowest_terms(0, 14 ** 500, 14), Fraction(0))
+        assert_same_fraction(lowest_terms(-7, 1, 1), Fraction(-7))
+        assert_same_fraction(lowest_terms(14 ** 9 * 3, 14 ** 9, 14), Fraction(3))
 
 
 class TestStructuralInvariants:
