@@ -24,14 +24,10 @@ from .oracle import (
     tutte_subgraph_expansion,
 )
 from .recursion import (
-    EvalPair,
     TuttePair,
     eval_pair,
     initial_pair,
     step,
-    step_flower13,
-    step_flower22,
-    step_fractal,
     tutte_eval,
     tutte_pair,
     tutte_symbolic,
@@ -68,14 +64,10 @@ __all__ = [
     "split_tutte",
     "tutte_deletion_contraction",
     "tutte_subgraph_expansion",
-    "EvalPair",
     "TuttePair",
     "eval_pair",
     "initial_pair",
     "step",
-    "step_flower13",
-    "step_flower22",
-    "step_fractal",
     "tutte_eval",
     "tutte_pair",
     "tutte_symbolic",

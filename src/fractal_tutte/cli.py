@@ -117,9 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_tutte)
     p_tutte.add_argument("--mode", choices=("recursive", "oracle"), default="recursive")
     p_tutte.add_argument("--format", choices=("json", "text"), default="json")
-    p_tutte.add_argument("--symbolic-cap", type=int,
-                         default=recursion.SYMBOLIC_GENERATION_CAP,
-                         help="raise the symbolic generation guard explicitly")
 
     p_eval = sub.add_parser("eval", help="exact value at a rational point")
     add_common(p_eval)
@@ -168,7 +165,7 @@ def _cmd_gen(args) -> str:
 
 def _cmd_tutte(args) -> str:
     if args.mode == "recursive":
-        poly = recursion.tutte_symbolic(args.family, args.n, args.symbolic_cap)
+        poly = recursion.tutte_symbolic(args.family, args.n)
     else:
         if args.n > checks.ORACLE_GATE_CAP:
             raise CapExceeded(
@@ -293,7 +290,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    _write(text, args.out)
+    try:
+        _write(text, args.out)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

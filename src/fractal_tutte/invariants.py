@@ -89,12 +89,12 @@ def bicycle_space_dimension(n: int) -> int:
     return _exact_div(4 ** n - 1, 3)
 
 
-def diagonal_closed_form(n: int, generation_cap: int = SYMBOLIC_GENERATION_CAP) -> BiPoly:
+def diagonal_closed_form(n: int) -> BiPoly:
     """The diagonal T(x, x) of the fractal lattice as a closed-form power.
 
     Equals x * (x^2 + 5x + 2) ** ((4^n - 1) / 3), kept as a polynomial in x.
     """
-    _check_generation(n, generation_cap)
+    _check_generation(n, SYMBOLIC_GENERATION_CAP)
     base = BiPoly({(2, 0): 1, (1, 0): 5, (0, 0): 2})
     exponent = _exact_div(4 ** n - 1, 3)
     return BiPoly.x() * base ** exponent

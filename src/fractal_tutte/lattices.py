@@ -12,15 +12,19 @@ marks two hubs as the special vertex pair carried by the recursion.
     3-copy path between them).
 
 Generation 0 is a single edge whose endpoints are the special pair.  Vertex
-labels are deterministic: copies are laid out in order, and merged classes
-are renumbered by first appearance, so repeated builds are identical.
+labels follow an index rule, so repeated builds are identical: vertex v of
+copy c starts as index c*n + v, where n is the old vertex count; each hub
+keeps the index of its earlier copy, so 1.sx, 2.sx, 3.sx and 3.sy become
+0.sx, 0.sy, 1.sy and 2.sy; and every other index is lowered by the number
+of merged indices below it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Tuple
+from itertools import starmap
+from typing import Callable, List, Tuple
 
 from .errors import CapExceeded
 
@@ -67,23 +71,26 @@ class Multigraph:
         return sorted(deg)
 
     def is_connected(self) -> bool:
-        if self.vertex_count == 1:
-            return True
-        parent = list(range(self.vertex_count))
+        return sum(starmap(union_find(self.vertex_count), self.edges)) == self.vertex_count - 1
 
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
 
-        components = self.vertex_count
-        for u, v in self.edges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                components -= 1
-        return components == 1
+def union_find(vertex_count: int) -> Callable[[int, int], bool]:
+    """A path-compressing union-find on range(vertex_count), given as its
+    union(a, b): join the classes of a and b, and say whether they differed."""
+    parent = list(range(vertex_count))
+
+    def union(a: int, b: int) -> bool:
+        # Path halving: each step points a vertex at its grandparent.
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
+            return False
+        parent[a] = b
+        return True
+
+    return union
 
 
 def _normalize(u: int, v: int) -> Tuple[int, int]:
@@ -93,52 +100,31 @@ def _normalize(u: int, v: int) -> Tuple[int, int]:
 def _next_generation(g: Multigraph, family: LatticeFamily) -> Multigraph:
     """Glue four copies of g into the ring for the requested family."""
     n_old = g.vertex_count
-    total = 4 * n_old
-    parent = list(range(total))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    def vert(copy: int, v: int) -> int:
-        return copy * n_old + v
-
+    sx, sy = g.special_x, g.special_y
     # Ring layout: copies 0 and 1 leave the left hub, copies 2 and 3 enter
     # the right hub, and the two middle hubs chain copy 0 to 2 and 1 to 3.
-    union(vert(0, g.special_x), vert(1, g.special_x))
-    union(vert(0, g.special_y), vert(2, g.special_x))
-    union(vert(1, g.special_y), vert(3, g.special_x))
-    union(vert(2, g.special_y), vert(3, g.special_y))
-
-    label = {}
-    for v in range(total):
-        root = find(v)
-        if root not in label:
-            label[root] = len(label)
-
-    def relabel(copy: int, v: int) -> int:
-        return label[find(vert(copy, v))]
+    # Each hub keeps the index of its earlier copy (see the module docstring).
+    merged = {n_old + sx: sx, 2 * n_old + sx: sy,
+              3 * n_old + sx: n_old + sy, 3 * n_old + sy: 2 * n_old + sy}
+    vertex_count = 4 * n_old - len(merged)
+    label: List[int] = []
+    for below, index in enumerate(sorted(merged)):
+        # Every surviving index before this merged one has `below` merged
+        # indices under it.
+        label.extend(range(len(label) - below, index - below))
+        label.append(label[merged[index]])
+    label.extend(range(len(label) - len(merged), vertex_count))
 
     edges: List[Tuple[int, int]] = []
     for copy in range(4):
+        copy_label = label[copy * n_old:(copy + 1) * n_old]
         for u, v in g.edges:
-            edges.append(_normalize(relabel(copy, u), relabel(copy, v)))
+            edges.append(_normalize(copy_label[u], copy_label[v]))
     if family is LatticeFamily.FRACTAL:
-        edges.append(_normalize(relabel(0, g.special_y), relabel(1, g.special_y)))
+        edges.append(_normalize(label[sy], label[n_old + sy]))
 
-    special_x = relabel(0, g.special_x)
-    if family is LatticeFamily.FLOWER13:
-        special_y = relabel(0, g.special_y)
-    else:
-        special_y = relabel(2, g.special_y)
-    return Multigraph(len(label), tuple(edges), special_x, special_y)
+    special_y = label[sy] if family is LatticeFamily.FLOWER13 else label[2 * n_old + sy]
+    return Multigraph(vertex_count, tuple(edges), label[sx], special_y)
 
 
 def build_lattice(family: LatticeFamily, n: int) -> Multigraph:

@@ -12,14 +12,13 @@ vertex pair, which yields the two-part split of the polynomial for free.
 
 from __future__ import annotations
 
-import os
-from itertools import combinations
+from itertools import combinations, starmap
 from math import comb
 from typing import Dict, List, Tuple
 
 from .bipoly import BiPoly
 from .errors import CapExceeded
-from .lattices import Multigraph
+from .lattices import Multigraph, union_find
 
 EXPANSION_EDGE_CAP = 24
 DC_EDGE_CAP = 64
@@ -29,53 +28,23 @@ Census = Dict[Tuple[int, int], int]
 
 def _graph_rank(g: Multigraph) -> int:
     """Rank |V| - (number of components)."""
-    parent = list(range(g.vertex_count))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    rank = 0
-    for u, v in g.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            rank += 1
-    return rank
+    return sum(starmap(union_find(g.vertex_count), g.edges))
 
 
-def _census_worker(g: Multigraph, rank_full: int, prefix_mask: int,
-                   prefix_len: int) -> Tuple[Census, Census]:
-    """Census of all subsets whose first prefix_len edges match prefix_mask."""
+def rank_nullity_census(g: Multigraph) -> Tuple[Census, Census]:
+    """Count edge subsets by (rank deficit, nullity), split by whether the
+    subset joins the special pair.  Exact integers throughout."""
+    if len(g.edges) > EXPANSION_EDGE_CAP:
+        raise CapExceeded(f"{len(g.edges)} edges exceeds expansion cap {EXPANSION_EDGE_CAP}")
+    rank_full = _graph_rank(g)
     edges = g.edges
     edge_total = len(edges)
-    vertex_total = g.vertex_count
     sx, sy = g.special_x, g.special_y
-    parent = list(range(vertex_total))
-    size = [1] * vertex_total
+    parent = list(range(g.vertex_count))
+    size = [1] * g.vertex_count
     binom = [[comb(m, j) for j in range(m + 1)] for m in range(edge_total + 1)]
     joined: Census = {}
     severed: Census = {}
-
-    merges = 0
-    included = 0
-    for idx in range(prefix_len):
-        if not (prefix_mask >> idx) & 1:
-            continue
-        included += 1
-        a, b = edges[idx]
-        while parent[a] != a:
-            a = parent[a]
-        while parent[b] != b:
-            b = parent[b]
-        if a != b:
-            if size[a] < size[b]:
-                a, b = b, a
-            parent[b] = a
-            size[a] += size[b]
-            merges += 1
 
     def run(idx: int, merges: int, included: int) -> None:
         # No path compression anywhere: undo must be a plain pointer reset.
@@ -126,41 +95,13 @@ def _census_worker(g: Multigraph, rank_full: int, prefix_mask: int,
             parent[b] = b
             run(idx + 1, merges, included)
 
-    run(prefix_len, merges, included)
+    run(0, 0, 0)
     return joined, severed
 
 
 def _merge_census(target: Census, part: Census) -> None:
     for key, count in part.items():
         target[key] = target.get(key, 0) + count
-
-
-def rank_nullity_census(g: Multigraph, edge_cap: int = EXPANSION_EDGE_CAP,
-                        workers: int | None = None) -> Tuple[Census, Census]:
-    """Count edge subsets by (rank deficit, nullity), split by whether the
-    subset joins the special pair.  Exact integers throughout."""
-    if len(g.edges) > edge_cap:
-        raise CapExceeded(f"{len(g.edges)} edges exceeds expansion cap {edge_cap}")
-    if workers is None:
-        workers = int(os.environ.get("FRACTAL_TUTTE_THREADS", "1") or "1")
-    workers = max(1, workers)
-    rank_full = _graph_rank(g)
-
-    if workers == 1 or not g.edges:
-        return _census_worker(g, rank_full, 0, 0)
-
-    prefix_len = min(len(g.edges), max(1, (workers - 1).bit_length()))
-    tasks = [(mask, prefix_len) for mask in range(1 << prefix_len)]
-    joined: Census = {}
-    severed: Census = {}
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = pool.map(lambda t: _census_worker(g, rank_full, t[0], t[1]), tasks)
-        for part_joined, part_severed in results:
-            _merge_census(joined, part_joined)
-            _merge_census(severed, part_severed)
-    return joined, severed
 
 
 def _x_minus_1_power(a: int) -> BiPoly:
@@ -178,23 +119,21 @@ def _census_to_poly(counts: Census) -> BiPoly:
     return total
 
 
-def tutte_subgraph_expansion(g: Multigraph, edge_cap: int = EXPANSION_EDGE_CAP,
-                             workers: int | None = None) -> BiPoly:
+def tutte_subgraph_expansion(g: Multigraph) -> BiPoly:
     """Tutte polynomial straight from the subset definition."""
-    joined, severed = rank_nullity_census(g, edge_cap, workers)
+    joined, severed = rank_nullity_census(g)
     combined: Census = {}
     _merge_census(combined, joined)
     _merge_census(combined, severed)
     return _census_to_poly(combined)
 
 
-def split_tutte(g: Multigraph, edge_cap: int = EXPANSION_EDGE_CAP,
-                workers: int | None = None) -> Tuple[BiPoly, BiPoly]:
+def split_tutte(g: Multigraph) -> Tuple[BiPoly, BiPoly]:
     """Two-part split of the Tutte polynomial by special-pair connectivity.
 
     Returns (joined part, severed part); the two sum to the full polynomial.
     """
-    joined, severed = rank_nullity_census(g, edge_cap, workers)
+    joined, severed = rank_nullity_census(g)
     return _census_to_poly(joined), _census_to_poly(severed)
 
 
@@ -301,15 +240,15 @@ def _series_sigma(multiplicity: int) -> BiPoly:
     return BiPoly({(0, j): 1 for j in range(multiplicity)})
 
 
-def tutte_deletion_contraction(g: Multigraph, edge_cap: int = DC_EDGE_CAP) -> BiPoly:
+def tutte_deletion_contraction(g: Multigraph) -> BiPoly:
     """Tutte polynomial by deletion-contraction with memoized states.
 
     Loops are stripped into a y-power up front; parallel edges between one
     vertex pair are always eliminated together, which keeps the recursion
     shallow on graphs with heavy edge multiplicity.
     """
-    if len(g.edges) > edge_cap:
-        raise CapExceeded(f"{len(g.edges)} edges exceeds deletion-contraction cap {edge_cap}")
+    if len(g.edges) > DC_EDGE_CAP:
+        raise CapExceeded(f"{len(g.edges)} edges exceeds deletion-contraction cap {DC_EDGE_CAP}")
     memo: Dict[Tuple, BiPoly] = {}
 
     def solve(vertex_count: int, edges: Tuple[Tuple[int, int], ...]) -> BiPoly:
@@ -377,32 +316,11 @@ def tutte_deletion_contraction(g: Multigraph, edge_cap: int = DC_EDGE_CAP) -> Bi
 # -- spanning trees ---------------------------------------------------------
 
 
-def count_spanning_trees_bruteforce(g: Multigraph, edge_cap: int = EXPANSION_EDGE_CAP) -> int:
+def count_spanning_trees_bruteforce(g: Multigraph) -> int:
     """Count spanning trees by testing every (|V|-1)-subset of edges."""
-    if len(g.edges) > edge_cap:
-        raise CapExceeded(f"{len(g.edges)} edges exceeds enumeration cap {edge_cap}")
-    need = g.vertex_count - 1
-    if need < 0:
-        return 0
-    if need == 0:
-        return 1
-    count = 0
-    for combo in combinations(g.edges, need):
-        parent = list(range(g.vertex_count))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        merges = 0
-        for u, v in combo:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                break
-            parent[ru] = rv
-            merges += 1
-        if merges == need:
-            count += 1
-    return count
+    if len(g.edges) > EXPANSION_EDGE_CAP:
+        raise CapExceeded(f"{len(g.edges)} edges exceeds enumeration cap {EXPANSION_EDGE_CAP}")
+    # A subset of |V| - 1 edges is a spanning tree exactly when each of its
+    # edges joins two classes.
+    return sum(all(starmap(union_find(g.vertex_count), combo))
+               for combo in combinations(g.edges, g.vertex_count - 1))

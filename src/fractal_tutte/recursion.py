@@ -14,7 +14,6 @@ integer numerators of a rational point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Tuple, Union
 
@@ -28,20 +27,15 @@ EVAL_GENERATION_CAP = 10
 Ring = Union[BiPoly, int]
 
 
-@dataclass(frozen=True)
-class TuttePair:
-    """Split state: joined part and the (x - 1)-cofactor of the severed part."""
+class TuttePair(NamedTuple):
+    """Split state: joined part and the (x - 1)-cofactor of the severed part,
+    as polynomials, or as values at a point when eval_pair returns it."""
 
-    joined: BiPoly
-    cofactor: BiPoly
+    joined: Union[BiPoly, Fraction]
+    cofactor: Union[BiPoly, Fraction]
 
     def assemble(self) -> BiPoly:
         return self.joined + (BiPoly.x() - 1) * self.cofactor
-
-
-class EvalPair(NamedTuple):
-    joined: Fraction
-    cofactor: Fraction
 
 
 # Each rule is written homogeneously in (x, y, d): its coefficients have
@@ -54,7 +48,7 @@ class EvalPair(NamedTuple):
 # so symbolically at most one of them is alive beside the two partial sums.
 
 
-def _step_fractal(t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
+def _fractal_rule(t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
     t2 = t * t
     c2 = c * c
     tc = t * c
@@ -69,7 +63,7 @@ def _step_fractal(t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Rin
     return joined, cofactor
 
 
-def _step_flower22(t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
+def _flower22_rule(t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
     t2 = t * t
     c2 = c * c
     tc = t * c
@@ -85,7 +79,7 @@ def _step_flower22(t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ri
     return joined, cofactor
 
 
-def _step_flower13(t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
+def _flower13_rule(t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
     t2 = t * t
     c2 = c * c
     tc = t * c
@@ -105,9 +99,9 @@ def _step_flower13(t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ri
 
 
 _STEP_RULES: dict[LatticeFamily, Callable[[Ring, Ring, Ring, Ring, int], Tuple[Ring, Ring]]] = {
-    LatticeFamily.FRACTAL: _step_fractal,
-    LatticeFamily.FLOWER22: _step_flower22,
-    LatticeFamily.FLOWER13: _step_flower13,
+    LatticeFamily.FRACTAL: _fractal_rule,
+    LatticeFamily.FLOWER22: _flower22_rule,
+    LatticeFamily.FLOWER13: _flower13_rule,
 }
 
 
@@ -117,43 +111,27 @@ def initial_pair() -> TuttePair:
 
 
 def step(family: LatticeFamily, pair: TuttePair) -> TuttePair:
+    """One symbolic generation step.  It has no cap: starting from
+    initial_pair() and stepping n times runs past SYMBOLIC_GENERATION_CAP."""
     rule = _STEP_RULES[family]
-    joined, cofactor = rule(pair.joined, pair.cofactor, BiPoly.x(), BiPoly.y(), 1)
-    return TuttePair(joined, cofactor)
+    return TuttePair(*rule(pair.joined, pair.cofactor, BiPoly.x(), BiPoly.y(), 1))
 
 
-def step_fractal(pair: TuttePair) -> TuttePair:
-    return step(LatticeFamily.FRACTAL, pair)
-
-
-def step_flower22(pair: TuttePair) -> TuttePair:
-    return step(LatticeFamily.FLOWER22, pair)
-
-
-def step_flower13(pair: TuttePair) -> TuttePair:
-    return step(LatticeFamily.FLOWER13, pair)
-
-
-def tutte_pair(family: LatticeFamily, n: int,
-               generation_cap: int = SYMBOLIC_GENERATION_CAP) -> TuttePair:
+def tutte_pair(family: LatticeFamily, n: int) -> TuttePair:
     """Symbolic split state after n recursion steps."""
     if n < 0:
         raise ValueError("generation must be nonnegative")
-    if n > generation_cap:
-        raise CapExceeded(
-            f"symbolic generation {n} exceeds cap {generation_cap}; "
-            "raise the cap explicitly to go further"
-        )
+    if n > SYMBOLIC_GENERATION_CAP:
+        raise CapExceeded(f"symbolic generation {n} exceeds cap {SYMBOLIC_GENERATION_CAP}")
     pair = initial_pair()
     for _ in range(n):
         pair = step(family, pair)
     return pair
 
 
-def tutte_symbolic(family: LatticeFamily, n: int,
-                   generation_cap: int = SYMBOLIC_GENERATION_CAP) -> BiPoly:
+def tutte_symbolic(family: LatticeFamily, n: int) -> BiPoly:
     """Full Tutte polynomial of generation n, assembled from the split."""
-    return tutte_pair(family, n, generation_cap).assemble()
+    return tutte_pair(family, n).assemble()
 
 
 def _homogeneous(x: Fraction, y: Fraction) -> Tuple[int, int, int]:
@@ -195,8 +173,7 @@ def lowest_terms(numerator: int, denominator: int, base: int) -> Fraction:
 
 
 def eval_pair(family: LatticeFamily, n: int,
-              x: Union[int, Fraction], y: Union[int, Fraction],
-              generation_cap: int = EVAL_GENERATION_CAP) -> EvalPair:
+              x: Union[int, Fraction], y: Union[int, Fraction]) -> TuttePair:
     """Split state evaluated at a rational point, without symbolic blowup.
 
     With x = X/D and y = Y/D the steps run on integers: the state is a pair
@@ -207,8 +184,8 @@ def eval_pair(family: LatticeFamily, n: int,
     """
     if n < 0:
         raise ValueError("generation must be nonnegative")
-    if n > generation_cap:
-        raise CapExceeded(f"evaluation generation {n} exceeds cap {generation_cap}")
+    if n > EVAL_GENERATION_CAP:
+        raise CapExceeded(f"evaluation generation {n} exceeds cap {EVAL_GENERATION_CAP}")
     big_x, big_y, d = _homogeneous(Fraction(x), Fraction(y))
     joined, cofactor, e = 1, 1, 0
     rule = _STEP_RULES[family]
@@ -220,14 +197,13 @@ def eval_pair(family: LatticeFamily, n: int,
             cofactor //= d
             e -= 1
     scale = d ** e
-    return EvalPair(lowest_terms(joined, scale, d), lowest_terms(cofactor, scale, d))
+    return TuttePair(lowest_terms(joined, scale, d), lowest_terms(cofactor, scale, d))
 
 
 def tutte_eval(family: LatticeFamily, n: int,
-               x: Union[int, Fraction], y: Union[int, Fraction],
-               generation_cap: int = EVAL_GENERATION_CAP) -> Fraction:
+               x: Union[int, Fraction], y: Union[int, Fraction]) -> Fraction:
     """Exact value of the generation-n Tutte polynomial at a rational point."""
-    joined, cofactor = eval_pair(family, n, x, y, generation_cap)
+    joined, cofactor = eval_pair(family, n, x, y)
     big_x, _, d = _homogeneous(Fraction(x), Fraction(y))
     # J + (x - 1) C = a/b + (X - D) c / (D m).  When one of b and D m divides
     # the other, the larger is their lcm; otherwise both divide D^(e_n + 1),

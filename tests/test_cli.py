@@ -77,16 +77,6 @@ class TestTutte:
         assert out == ""
         assert "resource cap" in err
 
-    def test_symbolic_cap_can_be_raised(self, capsys):
-        code, _, _ = run(
-            capsys, "tutte", "--family", "flower22", "--n", "3", "--symbolic-cap", "2"
-        )
-        assert code == 3
-        code, out, _ = run(
-            capsys, "tutte", "--family", "flower22", "--n", "3", "--symbolic-cap", "3"
-        )
-        assert code == 0 and out.startswith('{"terms":')
-
 
 class TestEval:
     def test_integer_value_record(self, capsys):
@@ -361,6 +351,18 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["value"] == "32"
+
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        for argv in (
+            ["eval", "--family", "fractal", "--n", "1", "--x", "1", "--y", "1",
+             "--out", str(tmp_path / "no" / "such" / "file")],
+            ["gen", "--family", "fractal", "--n", "1", "--out", str(tmp_path)],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert err.startswith("cannot write output: ")
+            assert "Traceback" not in err
 
 
 class TestUsageErrors:

@@ -1,5 +1,7 @@
 """Lattice construction: structure, counts, determinism, edge-list format."""
 
+import hashlib
+
 import pytest
 
 from fractal_tutte.errors import CapExceeded
@@ -90,6 +92,19 @@ class TestStructure:
     def test_determinism(self):
         for family in FAMILIES:
             assert build_lattice(family, 3) == build_lattice(family, 3)
+
+    # Recorded at commit a008d65, whose build merged the hubs with a
+    # union-find; the index rule must keep every label, edge and special pair.
+    EDGE_LIST_N8_SHA256 = {
+        LatticeFamily.FRACTAL: "e05c4188468b97dcb3d2efdce5aa5bb4300393b667bcfc679b9b86802e19c5cc",
+        LatticeFamily.FLOWER22: "931a6beb18060a548efcbd6b3c9cbc97496f990f2de3dd455407453521beb11d",
+        LatticeFamily.FLOWER13: "67a9ff9b4a34632b56e5d880463d39b9845c6969a13c817d60b06bf671ee39c0",
+    }
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_generation_eight_edge_list_digest(self, family):
+        text = to_edge_list(build_lattice(family, 8))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.EDGE_LIST_N8_SHA256[family]
 
 
 class TestCaps:

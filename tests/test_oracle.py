@@ -157,19 +157,14 @@ class TestEdgeCaps:
         tutte_deletion_contraction(_path_graph(64))  # at the cap is fine
 
 
-class TestCensusWorkers:
-    def test_worker_counts_agree(self):
-        g = build_lattice(LatticeFamily.FRACTAL, 1)
-        serial = rank_nullity_census(g, workers=1)
-        threaded = rank_nullity_census(g, workers=3)
-        assert serial == threaded
-
-    def test_thread_env_var_is_honoured(self, monkeypatch):
-        monkeypatch.setenv("FRACTAL_TUTTE_THREADS", "2")
-        g = build_lattice(LatticeFamily.FLOWER22, 1)
-        assert rank_nullity_census(g) == rank_nullity_census(g, workers=1)
-
-    def test_bad_env_var_rejected(self, monkeypatch):
-        monkeypatch.setenv("FRACTAL_TUTTE_THREADS", "zero")
-        with pytest.raises(ValueError):
-            rank_nullity_census(K2)
+class TestEdgelessGraphs:
+    # One vertex is a tree of itself; two isolated vertices have no tree.
+    @pytest.mark.parametrize("graph,split,trees", [
+        (Multigraph(1, (), 0, 0), (BiPoly.one(), BiPoly.zero()), 1),
+        (Multigraph(2, (), 0, 1), (BiPoly.zero(), BiPoly.one()), 0),
+    ])
+    def test_oracles(self, graph, split, trees):
+        assert tutte_subgraph_expansion(graph) == BiPoly.one()
+        assert tutte_deletion_contraction(graph) == BiPoly.one()
+        assert split_tutte(graph) == split
+        assert count_spanning_trees_bruteforce(graph) == trees

@@ -19,15 +19,11 @@ from fractal_tutte.checks import run_oracle_gates
 from fractal_tutte.errors import CapExceeded
 from fractal_tutte.lattices import LatticeFamily
 from fractal_tutte.recursion import (
-    EvalPair,
     TuttePair,
     eval_pair,
     initial_pair,
     lowest_terms,
     step,
-    step_flower13,
-    step_flower22,
-    step_fractal,
     tutte_eval,
     tutte_pair,
     tutte_symbolic,
@@ -57,27 +53,19 @@ class TestInitialPair:
 
 class TestSingleStep:
     def test_fractal_step_from_start(self):
-        pair = step_fractal(initial_pair())
+        pair = step(LatticeFamily.FRACTAL, initial_pair())
         assert pair.joined == Y * Y + 3 * Y + 2 * X + 2
         assert pair.cofactor == X * X + 3 * X + 2 * Y + 2
 
     def test_flower22_step_from_start(self):
-        pair = step_flower22(initial_pair())
+        pair = step(LatticeFamily.FLOWER22, initial_pair())
         assert pair.joined == 2 * X + Y + 1
         assert pair.cofactor == X * X + 2 * X + 1
 
     def test_flower13_step_from_start(self):
-        pair = step_flower13(initial_pair())
+        pair = step(LatticeFamily.FLOWER13, initial_pair())
         assert pair.joined == X * X + X + Y + 1
         assert pair.cofactor == X * X + X + 1
-
-    def test_generic_step_dispatch(self):
-        for family, stepper in [
-            (LatticeFamily.FRACTAL, step_fractal),
-            (LatticeFamily.FLOWER22, step_flower22),
-            (LatticeFamily.FLOWER13, step_flower13),
-        ]:
-            assert step(family, initial_pair()) == stepper(initial_pair())
 
 
 class TestAssembledPolynomials:
@@ -120,7 +108,7 @@ class TestPointwiseEvaluation:
 
     def test_eval_pair_structure(self):
         pair = eval_pair(LatticeFamily.FRACTAL, 0, Fraction(2), Fraction(3))
-        assert pair == EvalPair(Fraction(1), Fraction(1))
+        assert pair == TuttePair(Fraction(1), Fraction(1))
 
     def test_tree_counts_at_one_one(self):
         assert tutte_eval(LatticeFamily.FRACTAL, 3, 1, 1) == 2 ** 63
@@ -246,11 +234,6 @@ class TestCaps:
             tutte_pair(LatticeFamily.FRACTAL, 5)
         with pytest.raises(CapExceeded):
             tutte_symbolic(LatticeFamily.FRACTAL, 5)
-
-    def test_symbolic_cap_override(self):
-        with pytest.raises(CapExceeded):
-            tutte_pair(LatticeFamily.FLOWER22, 3, generation_cap=2)
-        tutte_pair(LatticeFamily.FLOWER22, 3, generation_cap=3)
 
     def test_eval_cap(self):
         with pytest.raises(CapExceeded):
