@@ -39,8 +39,10 @@ def run_oracle_gates(n_max: int = ORACLE_GATE_CAP) -> List[GateResult]:
     for family in LatticeFamily:
         for n in range(n_max + 1):
             g = build_lattice(family, n)
-            symbolic = recursion.tutte_symbolic(family, n)
-            expansion = oracle.tutte_subgraph_expansion(g)
+            pair = recursion.tutte_pair(family, n)
+            symbolic = pair.assemble()
+            joined, severed = oracle.split_tutte(g)
+            expansion = joined + severed
             contraction = oracle.tutte_deletion_contraction(g)
             _gate(results, f"{family.value} n={n} recursion=expansion",
                   symbolic == expansion,
@@ -48,8 +50,6 @@ def run_oracle_gates(n_max: int = ORACLE_GATE_CAP) -> List[GateResult]:
             _gate(results, f"{family.value} n={n} recursion=contraction",
                   symbolic == contraction,
                   f"recursion {symbolic} != contraction {contraction}")
-            pair = recursion.tutte_pair(family, n)
-            joined, severed = oracle.split_tutte(g)
             _gate(results, f"{family.value} n={n} split joined part",
                   pair.joined == joined,
                   f"recursion {pair.joined} != census {joined}")

@@ -99,11 +99,6 @@ def rank_nullity_census(g: Multigraph) -> Tuple[Census, Census]:
     return joined, severed
 
 
-def _merge_census(target: Census, part: Census) -> None:
-    for key, count in part.items():
-        target[key] = target.get(key, 0) + count
-
-
 def _x_minus_1_power(a: int) -> BiPoly:
     return BiPoly({(i, 0): comb(a, i) * (-1) ** (a - i) for i in range(a + 1)})
 
@@ -121,11 +116,8 @@ def _census_to_poly(counts: Census) -> BiPoly:
 
 def tutte_subgraph_expansion(g: Multigraph) -> BiPoly:
     """Tutte polynomial straight from the subset definition."""
-    joined, severed = rank_nullity_census(g)
-    combined: Census = {}
-    _merge_census(combined, joined)
-    _merge_census(combined, severed)
-    return _census_to_poly(combined)
+    joined, severed = split_tutte(g)
+    return joined + severed
 
 
 def split_tutte(g: Multigraph) -> Tuple[BiPoly, BiPoly]:

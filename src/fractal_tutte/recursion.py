@@ -23,6 +23,7 @@ from .lattices import LatticeFamily
 
 SYMBOLIC_GENERATION_CAP = 4
 EVAL_GENERATION_CAP = 10
+EVAL_NUMERATOR_BITS_CAP = 1 << 24
 
 Ring = Union[BiPoly, int]
 
@@ -172,21 +173,25 @@ def lowest_terms(numerator: int, denominator: int, base: int) -> Fraction:
             numerator, denominator, power = num, den, power * power
 
 
-def eval_pair(family: LatticeFamily, n: int,
-              x: Union[int, Fraction], y: Union[int, Fraction]) -> TuttePair:
-    """Split state evaluated at a rational point, without symbolic blowup.
+def _eval_numerators(family: LatticeFamily, n: int, x: Union[int, Fraction],
+                     y: Union[int, Fraction]) -> Tuple[int, int, int, int, int]:
+    """(J, C, e, X, D): the split state at x = X/D, y = Y/D is (J/D^e, C/D^e).
 
-    With x = X/D and y = Y/D the steps run on integers: the state is a pair
-    of numerators over D^e, and e -> 4e + 2 per step.  Powers of D that both
-    numerators share are taken out after each step; on the line x = 1 of the
-    flowers they are about half of D^e, and left in they would make every
-    later product twice as long.  Each part is reduced once at the end.
+    The steps run on integers, and e -> 4e + 2 per step.  Powers of D that
+    both numerators share are taken out after each step; on the line x = 1
+    of the flowers they are about half of D^e, and left in they would make
+    every later product twice as long.
     """
     if n < 0:
         raise ValueError("generation must be nonnegative")
     if n > EVAL_GENERATION_CAP:
         raise CapExceeded(f"evaluation generation {n} exceeds cap {EVAL_GENERATION_CAP}")
     big_x, big_y, d = _homogeneous(Fraction(x), Fraction(y))
+    # The numerators are homogeneous of degree e_n = 2 (4^n - 1) / 3 in (X, Y, D).
+    predicted = 2 * (4 ** n - 1) // 3 * max(abs(big_x), abs(big_y), d).bit_length()
+    if predicted > EVAL_NUMERATOR_BITS_CAP:
+        raise CapExceeded(f"evaluation numerators of about {predicted} bits exceed cap "
+                          f"{EVAL_NUMERATOR_BITS_CAP}")
     joined, cofactor, e = 1, 1, 0
     rule = _STEP_RULES[family]
     for _ in range(n):
@@ -196,21 +201,21 @@ def eval_pair(family: LatticeFamily, n: int,
             joined //= d
             cofactor //= d
             e -= 1
+    return joined, cofactor, e, big_x, d
+
+
+def eval_pair(family: LatticeFamily, n: int,
+              x: Union[int, Fraction], y: Union[int, Fraction]) -> TuttePair:
+    """Split state evaluated at a rational point, without symbolic blowup;
+    each part is reduced once."""
+    joined, cofactor, e, _, d = _eval_numerators(family, n, x, y)
     scale = d ** e
     return TuttePair(lowest_terms(joined, scale, d), lowest_terms(cofactor, scale, d))
 
 
 def tutte_eval(family: LatticeFamily, n: int,
                x: Union[int, Fraction], y: Union[int, Fraction]) -> Fraction:
-    """Exact value of the generation-n Tutte polynomial at a rational point."""
-    joined, cofactor = eval_pair(family, n, x, y)
-    big_x, _, d = _homogeneous(Fraction(x), Fraction(y))
-    # J + (x - 1) C = a/b + (X - D) c / (D m).  When one of b and D m divides
-    # the other, the larger is their lcm; otherwise both divide D^(e_n + 1),
-    # where e_n = 2 (4^n - 1) / 3 bounds the exponent of eval_pair's state.
-    b, dm = joined.denominator, d * cofactor.denominator
-    small, large = sorted((b, dm))
-    common = large if large % small == 0 else d ** (2 * (4 ** n - 1) // 3 + 1)
-    numerator = (joined.numerator * (common // b)
-                 + (big_x - d) * cofactor.numerator * (common // dm))
-    return lowest_terms(numerator, common, d)
+    """Exact value of the generation-n Tutte polynomial at a rational point:
+    J + (x - 1) C over D^(e + 1), reduced once."""
+    joined, cofactor, e, big_x, d = _eval_numerators(family, n, x, y)
+    return lowest_terms(d * joined + (big_x - d) * cofactor, d ** (e + 1), d)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from fractal_tutte import invariants, recursion
+from fractal_tutte import checks, invariants, oracle, recursion
 from fractal_tutte.cli import _DECIMAL_PIECE_BITS, _decimal, main
 from fractal_tutte.lattices import LatticeFamily, lattice_counts
 
@@ -109,6 +109,14 @@ class TestEval:
             capsys, "eval", "--family", "fractal", "--n", "11", "--x", "1", "--y", "1"
         )
         assert code == 3 and "resource cap" in err
+
+    def test_numerator_size_cap(self, capsys):
+        # About 699,050 * 13,288 bits, some 9 Gbit, if it were run.
+        code, out, err = run(
+            capsys, "eval", "--family", "fractal", "--n", "10", "--x", "1/" + "9" * 4000, "--y", "2"
+        )
+        assert code == 3 and "resource cap" in err
+        assert out == ""
 
 
 class TestInvariant:
@@ -321,6 +329,27 @@ class TestVerify:
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert lines[-1].endswith("gates passed")
         assert err == ""
+
+    # SHA-256 of the full verify stdout (112/112 gates), recorded while each
+    # oracle gate still ran the subset census twice per graph.
+    FULL_RUN_SHA256 = "b1baf6a47721ecba45537a7b9719fa11ff60419e9156b3f28d7b29f0ebc89983"
+
+    def test_full_run_digest(self, capsys):
+        code, out, _ = run(capsys, "verify")
+        assert code == 0
+        assert out.endswith("112/112 gates passed\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.FULL_RUN_SHA256
+
+    def test_one_census_per_oracle_graph(self, monkeypatch):
+        calls = []
+        census = oracle.rank_nullity_census
+
+        def counted(g):
+            calls.append(g)
+            return census(g)
+        monkeypatch.setattr(oracle, "rank_nullity_census", counted)
+        assert all(gate.passed for gate in checks.run_oracle_gates(2))
+        assert len(calls) == 3 * 3  # three families, generations 0 to 2
 
     def test_n_max_above_oracle_cap_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

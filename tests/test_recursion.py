@@ -14,9 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fractal_tutte import recursion
 from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.checks import run_oracle_gates
 from fractal_tutte.errors import CapExceeded
+from fractal_tutte.invariants import PottsParams, potts_lattice
 from fractal_tutte.lattices import LatticeFamily
 from fractal_tutte.recursion import (
     TuttePair,
@@ -145,6 +147,7 @@ class TestIntegerEvaluation:
     @example(LatticeFamily.FRACTAL, 2, Fraction(3, 7), Fraction(-5, 2))
     @example(LatticeFamily.FRACTAL, 2, Fraction(1, 2 ** 61 - 1), Fraction(0))
     @example(LatticeFamily.FLOWER22, 2, Fraction(1, 6), Fraction(-2, 35))
+    @example(LatticeFamily.FLOWER13, 2, Fraction(-1, 6), Fraction(5, 7))
     def test_matches_symbolic_polynomial(self, family, n, x, y):
         symbolic = SMALL_PAIRS[family, n]
         assert_same_fraction(tutte_eval(family, n, x, y), symbolic.assemble().evaluate(x, y))
@@ -153,9 +156,12 @@ class TestIntegerEvaluation:
         assert_same_fraction(pair.cofactor, symbolic.cofactor.evaluate(x, y))
 
     def test_no_gcd_of_two_large_operands(self, monkeypatch):
-        # At (1, 1/5) about half of each flower13 denominator cancels.
+        # At (1, 1/5) about half of each flower13 denominator cancels; at the
+        # last two points only some primes of D do.
         cases = [(LatticeFamily.FRACTAL, Fraction(3, 7), Fraction(-5, 2)),
-                 (LatticeFamily.FLOWER13, Fraction(1), Fraction(1, 5))]
+                 (LatticeFamily.FLOWER13, Fraction(1), Fraction(1, 5)),
+                 (LatticeFamily.FLOWER22, Fraction(1, 2), Fraction(1, 3)),
+                 (LatticeFamily.FLOWER13, Fraction(-1, 6), Fraction(5, 7))]
         expected = [tutte_pair(family, 3).assemble().evaluate(x, y) for family, x, y in cases]
         gcd = math.gcd
 
@@ -238,6 +244,23 @@ class TestCaps:
     def test_eval_cap(self):
         with pytest.raises(CapExceeded):
             tutte_eval(LatticeFamily.FRACTAL, 11, 1, 1)
+
+    def test_eval_size_cap_raises_before_any_step(self, monkeypatch):
+        # 2 (4^10 - 1) / 3 = 699,050 times 25 bits, the largest of |X|, |Y|
+        # and D here, is past 2^24 bits; 24 bits is just inside.
+        class Stepped(Exception):
+            pass
+
+        def no_step(*args):
+            raise Stepped
+        monkeypatch.setattr(recursion, "_STEP_RULES", dict.fromkeys(LatticeFamily, no_step))
+        for point in [(Fraction(1, 2 ** 24 + 1), 2), (2 ** 24 + 1, 2), (1, -2 ** 24 - 1)]:
+            with pytest.raises(CapExceeded):
+                tutte_eval(LatticeFamily.FRACTAL, 10, *point)
+        with pytest.raises(CapExceeded):
+            potts_lattice(LatticeFamily.FLOWER22, 10, PottsParams(2, Fraction(1, 2 ** 24 + 1)))
+        with pytest.raises(Stepped):
+            tutte_eval(LatticeFamily.FRACTAL, 10, Fraction(1, 2 ** 24 - 1), 1)
 
     def test_negative_generation(self):
         with pytest.raises(ValueError):
