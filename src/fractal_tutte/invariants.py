@@ -16,20 +16,13 @@ from typing import Dict, Tuple, Union
 
 from .bipoly import BiPoly
 from .errors import CapExceeded, DomainError
-from .lattices import LatticeFamily, Multigraph, lattice_counts
+from .lattices import LatticeFamily, Multigraph, check_generation, lattice_counts
 from .recursion import SYMBOLIC_GENERATION_CAP, lowest_terms, tutte_eval
 
 CLOSED_FORM_CAP = 10
 POTTS_STATE_CAP = 2 ** 24
 
 RationalLike = Union[int, Fraction]
-
-
-def _check_generation(n: int, cap: int = CLOSED_FORM_CAP) -> None:
-    if n < 0:
-        raise ValueError("generation must be nonnegative")
-    if n > cap:
-        raise CapExceeded(f"generation {n} exceeds closed-form cap {cap}")
 
 
 def _exact_div(numerator: int, denominator: int) -> int:
@@ -51,7 +44,7 @@ def _tree_count_exponents(family: LatticeFamily, n: int) -> Dict[int, int]:
 
 def spanning_tree_count(family: LatticeFamily, n: int) -> int:
     """Number of spanning trees of generation n, in closed form."""
-    _check_generation(n)
+    check_generation(n, CLOSED_FORM_CAP)
     count = 1
     for base, exponent in _tree_count_exponents(family, n).items():
         count *= base ** exponent
@@ -63,7 +56,7 @@ def acyclic_root_connected_orientations(n: int) -> int:
 
     Closed form: product over i of (i + 1) raised to 2 * 4^(n - i).
     """
-    _check_generation(n)
+    check_generation(n, CLOSED_FORM_CAP)
     total = 1
     for i in range(n + 1):
         total *= (i + 1) ** (2 * 4 ** (n - i))
@@ -75,7 +68,7 @@ def strong_orientation_indegree_sequences(n: int) -> int:
 
     Half of n times the sink-rooted acyclic count; defined for n >= 1.
     """
-    _check_generation(n)
+    check_generation(n, CLOSED_FORM_CAP)
     if n < 1:
         raise DomainError("indegree-sequence count is defined for generations >= 1")
     doubled = n * acyclic_root_connected_orientations(n)
@@ -84,8 +77,7 @@ def strong_orientation_indegree_sequences(n: int) -> int:
 
 def bicycle_space_dimension(n: int) -> int:
     """Dimension of the bicycle space of the fractal lattice: (4^n - 1) / 3."""
-    if n < 0:
-        raise ValueError("generation must be nonnegative")
+    check_generation(n)
     return _exact_div(4 ** n - 1, 3)
 
 
@@ -94,7 +86,7 @@ def diagonal_closed_form(n: int) -> BiPoly:
 
     Equals x * (x^2 + 5x + 2) ** ((4^n - 1) / 3), kept as a polynomial in x.
     """
-    _check_generation(n, SYMBOLIC_GENERATION_CAP)
+    check_generation(n, SYMBOLIC_GENERATION_CAP)
     base = BiPoly({(2, 0): 1, (1, 0): 5, (0, 0): 2})
     exponent = _exact_div(4 ** n - 1, 3)
     return BiPoly.x() * base ** exponent
@@ -102,7 +94,7 @@ def diagonal_closed_form(n: int) -> BiPoly:
 
 def diagonal_closed_value(n: int, x: RationalLike) -> Fraction:
     """The diagonal closed form evaluated exactly at a rational point."""
-    _check_generation(n)
+    check_generation(n, CLOSED_FORM_CAP)
     x = Fraction(x)
     exponent = _exact_div(4 ** n - 1, 3)
     return x * (x * x + 5 * x + 2) ** exponent

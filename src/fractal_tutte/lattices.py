@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import starmap
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .errors import CapExceeded
 
@@ -93,6 +93,14 @@ def union_find(vertex_count: int) -> Callable[[int, int], bool]:
     return union
 
 
+def check_generation(n: int, cap: Optional[int] = None) -> None:
+    """Reject a negative generation, and one above cap when a cap is given."""
+    if n < 0:
+        raise ValueError("generation must be nonnegative")
+    if cap is not None and n > cap:
+        raise CapExceeded(f"generation {n} exceeds cap {cap}")
+
+
 def _normalize(u: int, v: int) -> Tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
@@ -129,10 +137,7 @@ def _next_generation(g: Multigraph, family: LatticeFamily) -> Multigraph:
 
 def build_lattice(family: LatticeFamily, n: int) -> Multigraph:
     """Generation n of the requested family, with deterministic labels."""
-    if n < 0:
-        raise ValueError("generation must be nonnegative")
-    if n > GENERATION_CAP:
-        raise CapExceeded(f"generation {n} exceeds cap {GENERATION_CAP}")
+    check_generation(n, GENERATION_CAP)
     g = Multigraph(2, ((0, 1),), 0, 1)
     for _ in range(n):
         g = _next_generation(g, family)
@@ -141,8 +146,7 @@ def build_lattice(family: LatticeFamily, n: int) -> Multigraph:
 
 def lattice_counts(family: LatticeFamily, n: int) -> Tuple[int, int]:
     """Closed-form (vertex, edge) counts for generation n."""
-    if n < 0:
-        raise ValueError("generation must be nonnegative")
+    check_generation(n)
     vertices = (2 * 4 ** n + 4) // 3
     if family is LatticeFamily.FRACTAL:
         edges = (4 ** (n + 1) - 1) // 3

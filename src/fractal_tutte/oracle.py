@@ -4,7 +4,9 @@ Two independent routes are implemented:
 
   * spanning-subgraph expansion: a census of all edge subsets classified by
     rank deficit and nullity, folded into (x-1)^a (y-1)^b binomials;
-  * memoized deletion-contraction with whole-parallel-class steps.
+  * memoized deletion-contraction that eliminates one whole parallel class
+    per step, keyed on the relabeled edge list, with one union-find pass
+    telling a bridge class from a cycle class.
 
 The expansion also classifies every subset by whether it joins the special
 vertex pair, which yields the two-part split of the polynomial for free.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from itertools import combinations, starmap
 from math import comb
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 from .bipoly import BiPoly
 from .errors import CapExceeded
@@ -99,18 +101,11 @@ def rank_nullity_census(g: Multigraph) -> Tuple[Census, Census]:
     return joined, severed
 
 
-def _x_minus_1_power(a: int) -> BiPoly:
-    return BiPoly({(i, 0): comb(a, i) * (-1) ** (a - i) for i in range(a + 1)})
-
-
-def _y_minus_1_power(b: int) -> BiPoly:
-    return BiPoly({(0, j): comb(b, j) * (-1) ** (b - j) for j in range(b + 1)})
-
-
 def _census_to_poly(counts: Census) -> BiPoly:
+    x_minus_1, y_minus_1 = BiPoly.x() - 1, BiPoly.y() - 1
     total = BiPoly.zero()
     for (a, b) in sorted(counts):
-        total = total + counts[(a, b)] * _x_minus_1_power(a) * _y_minus_1_power(b)
+        total = total + counts[(a, b)] * x_minus_1 ** a * y_minus_1 ** b
     return total
 
 
@@ -132,84 +127,9 @@ def split_tutte(g: Multigraph) -> Tuple[BiPoly, BiPoly]:
 # -- deletion-contraction ---------------------------------------------------
 
 
-def _skeleton_bridges(vertex_count: int, neighbors: List[Dict[int, int]]) -> set:
-    """Bridges of the simple skeleton, as normalized vertex pairs.
-
-    A parallel class is a bridge-class exactly when its pair is a bridge of
-    the skeleton, so multiplicities play no role here.
-    """
-    visited = [False] * vertex_count
-    disc = [0] * vertex_count
-    low = [0] * vertex_count
-    bridges = set()
-    timer = 1
-    for root in range(vertex_count):
-        if visited[root]:
-            continue
-        visited[root] = True
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [(root, -1, iter(neighbors[root]))]
-        while stack:
-            v, parent_v, neighbor_iter = stack[-1]
-            pushed = False
-            for w in neighbor_iter:
-                if not visited[w]:
-                    visited[w] = True
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, v, iter(neighbors[w])))
-                    pushed = True
-                    break
-                if w != parent_v and disc[w] < low[v]:
-                    low[v] = disc[w]
-            if not pushed:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if low[v] > disc[p]:
-                        bridges.add((p, v) if p <= v else (v, p))
-    return bridges
-
-
-def _canonical_key(vertex_count: int, edges: Tuple[Tuple[int, int], ...]) -> Tuple:
-    """Degree-refined relabeling of a loop-free multigraph.
-
-    Iterative color refinement followed by a deterministic relabeling.  Equal
-    keys imply equal graphs after relabeling, so reuse is always sound; some
-    isomorphic states may still hash apart, which only costs recomputation.
-    """
-    adjacency: List[Dict[int, int]] = [dict() for _ in range(vertex_count)]
-    for u, v in edges:
-        adjacency[u][v] = adjacency[u].get(v, 0) + 1
-        adjacency[v][u] = adjacency[v].get(u, 0) + 1
-    colors = [sum(nbrs.values()) for nbrs in adjacency]
-    distinct = len(set(colors))
-    for _ in range(vertex_count):
-        signatures = [
-            (colors[v], tuple(sorted((mult, colors[w]) for w, mult in adjacency[v].items())))
-            for v in range(vertex_count)
-        ]
-        palette = {sig: rank for rank, sig in enumerate(sorted(set(signatures)))}
-        colors = [palette[sig] for sig in signatures]
-        if len(palette) == distinct:
-            break
-        distinct = len(palette)
-    order = sorted(range(vertex_count), key=lambda v: (colors[v], v))
-    rank = [0] * vertex_count
-    for position, v in enumerate(order):
-        rank[v] = position
-    relabeled = sorted(
-        (rank[u], rank[v]) if rank[u] <= rank[v] else (rank[v], rank[u])
-        for u, v in edges
-    )
-    return (vertex_count, tuple(relabeled))
-
-
-def _compact(vertex_count: int, edges: List[Tuple[int, int]]) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
-    """Drop isolated vertices and renumber; they never affect the polynomial."""
+def _compact(edges: Iterable[Tuple[int, int]]) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+    """Sort the edges and renumber vertices by first appearance, dropping
+    isolated vertices, which never affect the polynomial."""
     label: Dict[int, int] = {}
     out = []
     for u, v in sorted(edges):
@@ -219,90 +139,45 @@ def _compact(vertex_count: int, edges: List[Tuple[int, int]]) -> Tuple[int, Tupl
     return len(label), tuple(sorted(out))
 
 
-def _parallel_class_factor(multiplicity: int) -> BiPoly:
-    # A whole parallel class acting as a bridge: x + y + ... + y^(k-1).
-    terms = {(1, 0): 1}
-    for j in range(1, multiplicity):
-        terms[(0, j)] = 1
-    return BiPoly(terms)
-
-
-def _series_sigma(multiplicity: int) -> BiPoly:
-    # 1 + y + ... + y^(k-1), the loop tally from contracting a class.
-    return BiPoly({(0, j): 1 for j in range(multiplicity)})
-
-
 def tutte_deletion_contraction(g: Multigraph) -> BiPoly:
     """Tutte polynomial by deletion-contraction with memoized states.
 
-    Loops are stripped into a y-power up front; parallel edges between one
-    vertex pair are always eliminated together, which keeps the recursion
-    shallow on graphs with heavy edge multiplicity.
+    Each state is the relabeled, sorted edge tuple, which is also its memo
+    key.  The first edge's whole parallel class of k edges is eliminated in
+    one step: a loop class gives y^k T(rest); a class whose endpoints the
+    rest leaves apart is a bridge class, giving (x + y + ... + y^(k-1))
+    T(G/class); any other class gives T(G - class) + (1 + y + ... +
+    y^(k-1)) T(G/class).
     """
     if len(g.edges) > DC_EDGE_CAP:
         raise CapExceeded(f"{len(g.edges)} edges exceeds deletion-contraction cap {DC_EDGE_CAP}")
-    memo: Dict[Tuple, BiPoly] = {}
+    memo: Dict[Tuple[Tuple[int, int], ...], BiPoly] = {(): BiPoly.one()}
 
-    def solve(vertex_count: int, edges: Tuple[Tuple[int, int], ...]) -> BiPoly:
-        loop_count = sum(1 for u, v in edges if u == v)
-        plain = [e for e in edges if e[0] != e[1]]
-        vertex_count, plain = _compact(vertex_count, plain)
-        result = solve_loopfree(vertex_count, plain)
-        if loop_count:
-            result = result * BiPoly.y() ** loop_count
-        return result
-
-    def solve_loopfree(vertex_count: int, edges: Tuple[Tuple[int, int], ...]) -> BiPoly:
-        if not edges:
-            return BiPoly.one()
-        key = _canonical_key(vertex_count, edges)
-        cached = memo.get(key)
+    def solve(edges: Iterable[Tuple[int, int]]) -> BiPoly:
+        vertex_count, edges = _compact(edges)
+        cached = memo.get(edges)
         if cached is not None:
             return cached
-
-        multiplicity: Dict[Tuple[int, int], int] = {}
-        for e in edges:
-            multiplicity[e] = multiplicity.get(e, 0) + 1
-        neighbors: List[Dict[int, int]] = [dict() for _ in range(vertex_count)]
-        for (u, v), k in multiplicity.items():
-            neighbors[u][v] = k
-            neighbors[v][u] = k
-        bridges = _skeleton_bridges(vertex_count, neighbors)
-
-        cycle_classes = [e for e in multiplicity if e not in bridges]
-        if not cycle_classes:
-            # Forest skeleton: every class contracts independently.
-            result = BiPoly.one()
-            for e in sorted(multiplicity):
-                result = result * _parallel_class_factor(multiplicity[e])
+        first = edges[0]
+        k = edges.count(first)  # sorted, so the class is the prefix edges[:k]
+        rest = edges[k:]
+        u, v = first
+        if u == v:
+            result = BiPoly.y() ** k * solve(rest)
         else:
-            degree = [sum(nbrs.values()) for nbrs in neighbors]
-            u, v = max(
-                cycle_classes,
-                key=lambda e: (max(degree[e[0]], degree[e[1]]),
-                               degree[e[0]] + degree[e[1]],
-                               (-e[0], -e[1])),
-            )
-            k = multiplicity[(u, v)]
-
-            deleted = [e for e in edges if e != (u, v)]
-            del_v, del_e = _compact(vertex_count, deleted)
-            part_deleted = solve_loopfree(del_v, del_e)
-
-            contracted = []
-            for a, b in deleted:
-                a2 = u if a == v else a
-                b2 = u if b == v else b
-                contracted.append((a2, b2) if a2 <= b2 else (b2, a2))
-            con_v, con_e = _compact(vertex_count, contracted)
-            part_contracted = solve_loopfree(con_v, con_e)
-
-            result = part_deleted + _series_sigma(k) * part_contracted
-
-        memo[key] = result
+            sigma = BiPoly({(0, j): 1 for j in range(k)})
+            contracted = [(u if a == v else a, u if b == v else b) for a, b in rest]
+            union = union_find(vertex_count)
+            for a, b in rest:
+                union(a, b)
+            if union(u, v):
+                result = (BiPoly.x() - 1 + sigma) * solve(contracted)
+            else:
+                result = solve(rest) + sigma * solve(contracted)
+        memo[edges] = result
         return result
 
-    return solve(g.vertex_count, g.edges)
+    return solve(g.edges)
 
 
 # -- spanning trees ---------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Tuple, Union
 
 from .bipoly import BiPoly
 from .errors import CapExceeded
-from .lattices import LatticeFamily
+from .lattices import LatticeFamily, check_generation
 
 SYMBOLIC_GENERATION_CAP = 4
 EVAL_GENERATION_CAP = 10
@@ -120,10 +120,7 @@ def step(family: LatticeFamily, pair: TuttePair) -> TuttePair:
 
 def tutte_pair(family: LatticeFamily, n: int) -> TuttePair:
     """Symbolic split state after n recursion steps."""
-    if n < 0:
-        raise ValueError("generation must be nonnegative")
-    if n > SYMBOLIC_GENERATION_CAP:
-        raise CapExceeded(f"symbolic generation {n} exceeds cap {SYMBOLIC_GENERATION_CAP}")
+    check_generation(n, SYMBOLIC_GENERATION_CAP)
     pair = initial_pair()
     for _ in range(n):
         pair = step(family, pair)
@@ -182,10 +179,7 @@ def _eval_numerators(family: LatticeFamily, n: int, x: Union[int, Fraction],
     of the flowers they are about half of D^e, and left in they would make
     every later product twice as long.
     """
-    if n < 0:
-        raise ValueError("generation must be nonnegative")
-    if n > EVAL_GENERATION_CAP:
-        raise CapExceeded(f"evaluation generation {n} exceeds cap {EVAL_GENERATION_CAP}")
+    check_generation(n, EVAL_GENERATION_CAP)
     big_x, big_y, d = _homogeneous(Fraction(x), Fraction(y))
     # The numerators are homogeneous of degree e_n = 2 (4^n - 1) / 3 in (X, Y, D).
     predicted = 2 * (4 ** n - 1) // 3 * max(abs(big_x), abs(big_y), d).bit_length()

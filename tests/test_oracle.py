@@ -6,6 +6,7 @@ back up to the full polynomial.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -20,7 +21,7 @@ from fractal_tutte.oracle import (
     tutte_subgraph_expansion,
 )
 
-from helpers import random_connected_multigraph
+from helpers import random_connected_multigraph, random_multigraph
 
 X = BiPoly.x()
 Y = BiPoly.y()
@@ -34,6 +35,7 @@ FOUR_CYCLE = Multigraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)), 0, 2)
 DIAMOND = Multigraph(4, ((0, 1), (0, 2), (1, 3), (2, 3), (1, 2)), 0, 3)
 BRIDGE_PLUS_LOOP = Multigraph(2, ((0, 1), (1, 1)), 0, 1)
 TWO_COMPONENTS = Multigraph(4, ((0, 1), (2, 3)), 0, 1)
+K4 = Multigraph(4, tuple(combinations(range(4), 2)), 0, 3)
 
 FIXED_CASES = [
     (K2, X),
@@ -45,6 +47,7 @@ FIXED_CASES = [
     (DIAMOND, X ** 3 + 2 * X * X + X + 2 * X * Y + Y + Y * Y),
     (BRIDGE_PLUS_LOOP, X * Y),
     (TWO_COMPONENTS, X * X),
+    (K4, X ** 3 + 3 * X * X + 2 * X + 4 * X * Y + 2 * Y + 3 * Y * Y + Y ** 3),
 ]
 
 
@@ -65,6 +68,12 @@ class TestOraclesAgreeOnRandomGraphs:
             g = random_connected_multigraph(rng)
             expansion = tutte_subgraph_expansion(g)
             assert expansion == tutte_deletion_contraction(g)
+
+    def test_seeded_multigraphs_with_loops_and_components(self):
+        rng = random.Random(20261018)
+        for _ in range(200):
+            g = random_multigraph(rng, max_vertices=7, max_edges=12)
+            assert tutte_subgraph_expansion(g) == tutte_deletion_contraction(g)
 
     def test_lattices_through_generation_one(self):
         for family in LatticeFamily:
@@ -135,6 +144,32 @@ class TestSpanningTreeCounts:
         assert count_spanning_trees_bruteforce(K2) == 1
         assert count_spanning_trees_bruteforce(FOUR_CYCLE) == 4
         assert count_spanning_trees_bruteforce(DIAMOND) == 8
+
+
+def _grid_graph(rows, columns):
+    def at(r, c):
+        return r * columns + c
+    edges = [(at(r, c), at(r, c + 1)) for r in range(rows) for c in range(columns - 1)]
+    edges += [(at(r, c), at(r + 1, c)) for r in range(rows - 1) for c in range(columns)]
+    return Multigraph(rows * columns, tuple(edges), 0, rows * columns - 1)
+
+
+class TestDeletionContractionPastCensusCap:
+    """Graphs with more edges than the census allows, checked against
+    counts known in closed form."""
+
+    def test_complete_graph_k7(self):
+        t = tutte_deletion_contraction(Multigraph(7, tuple(combinations(range(7), 2)), 0, 6))
+        assert t.evaluate(1, 1) == 7 ** 5  # Cayley's formula
+        assert t.evaluate(2, 0) == 5040  # acyclic orientations of K7: 7!
+        assert t.evaluate(2, 2) == 2 ** 21
+
+    def test_three_by_six_grid(self):
+        g = _grid_graph(3, 6)
+        assert g.edge_count == 27
+        t = tutte_deletion_contraction(g)
+        assert t.evaluate(1, 1) == 380160  # matrix-tree theorem
+        assert t.evaluate(2, 2) == 2 ** 27
 
 
 def _path_graph(edge_total):
