@@ -7,10 +7,19 @@ empty mapping and structural equality coincides with mathematical equality.
 
 Coefficients are plain Python ints, which are already arbitrary precision,
 and evaluation is done in ``fractions.Fraction`` so every result is exact.
+
+Large dense products are done by Kronecker substitution: each operand is
+packed into one big number, with a fixed-size slot per exponent pair, and
+the two numbers are multiplied once.  Below ``_DECIMAL_MIN_BYTES`` bytes the
+slots are bytes of an int (Karatsuba); from there on they are digits of a
+``decimal.Decimal``, whose number-theoretic transform multiply is several
+times faster at millions of bits.  Decimal arithmetic runs only in
+``EXACT_CONTEXT``, never in the caller's thread-local context.
 """
 
 from __future__ import annotations
 
+import decimal
 import json
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Tuple, Union
@@ -22,6 +31,23 @@ Scalar = Union[int, "BiPoly"]
 # big-integer multiplication; smaller ones, such as the thousands of tiny
 # products in the oracles, keep the schoolbook loop over term pairs.
 _PACKED_MIN_TERMS = 32
+
+# Packed products of at least this many bytes (in the byte-slot layout) use
+# decimal-digit slots and the Decimal multiply.  Measured on CPython 3.11
+# (README, "Polynomial product"): every product of the n <= 3 recursion (at
+# most 9,800 bytes) is faster on int slots; the n = 3 -> 4 step (24,650
+# bytes or more) is a near tie up to 37 KB and faster on decimal slots above.
+_DECIMAL_MIN_BYTES = 16384
+
+# str() and int() of a decimal string are exact for up to this many digits
+# whatever sys.set_int_max_str_digits() allows; wider slots keep int packing.
+_DECIMAL_MAX_SLOT_DIGITS = 640
+
+# Every Decimal operation of the package runs in this context: integers of
+# any length are exact, and anything that would round raises instead.
+EXACT_CONTEXT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                                traps=[decimal.Inexact, decimal.Rounded,
+                                       decimal.InvalidOperation])
 
 
 def _kronecker_pack(terms: Dict[Exponents, int], width: int, size: int) -> int:
@@ -44,6 +70,31 @@ def _kronecker_pack(terms: Dict[Exponents, int], width: int, size: int) -> int:
     value = int.from_bytes(positive, "little")
     if negative is not None:
         value -= int.from_bytes(negative, "little")
+    return value
+
+
+def _decimal_pack(terms: Dict[Exponents, int], width: int, digits: int) -> decimal.Decimal:
+    """The Decimal whose ``digits``-digit slot ``i * width + j`` holds coefficient (i, j).
+
+    The Decimal is parsed from one string, highest slot first.  Negative
+    coefficients go into a second string, made only when one occurs, whose
+    Decimal is subtracted from the first.
+    """
+    top = max(i * width + j for i, j in terms)
+    zero = "0" * digits
+    positive = [zero] * (top + 1)
+    negative = None
+    for (i, j), c in terms.items():
+        index = top - (i * width + j)
+        if c > 0:
+            positive[index] = str(c).zfill(digits)
+        else:
+            if negative is None:
+                negative = [zero] * (top + 1)
+            negative[index] = str(-c).zfill(digits)
+    value = EXACT_CONTEXT.create_decimal("".join(positive))
+    if negative is not None:
+        value = EXACT_CONTEXT.subtract(value, EXACT_CONTEXT.create_decimal("".join(negative)))
     return value
 
 
@@ -174,17 +225,24 @@ class BiPoly:
         return other + (-self)
 
     def __mul__(self, other: Scalar) -> "BiPoly":
-        """Product; large operands go through one big-integer multiplication.
+        """Product; large operands go through one big-number multiplication.
 
         When both operands have more than ``_PACKED_MIN_TERMS`` terms and
-        fill their exponent range densely, each is packed into a single int
-        by Kronecker substitution: term (i, j) lands in slot ``i * W + j``
-        with ``W = deg_y(a) + deg_y(b) + 1``, and every slot is wide enough
-        to hold any coefficient of the product with its sign.  One int
-        product (a square when both operands are the same object) then
-        carries every coefficient, and the slots are read back low to high
-        with a borrow.  Other products use the schoolbook loop over term
-        pairs.  Both paths give the same polynomial.
+        fill their exponent range densely, each is packed into a single
+        number by Kronecker substitution: term (i, j) lands in slot
+        ``i * W + j`` with ``W = deg_y(a) + deg_y(b) + 1``, and every slot is
+        wide enough to hold any coefficient of the product with its sign.
+        One product (a square when both operands are the same object) then
+        carries every coefficient.
+
+        The slots have one of two radices.  Below ``_DECIMAL_MIN_BYTES``
+        packed bytes they are bytes of an int, multiplied by CPython's
+        Karatsuba and read back low to high with a borrow.  From there on
+        they are decimal digits of a Decimal, multiplied by libmpdec's
+        number-theoretic transform; half the slot range is added to every
+        slot of the product, so one string of its digits splits into slots
+        with no borrow.  Other products use the schoolbook loop over term
+        pairs.  Every path gives the same polynomial.
         """
         other = self._coerce(other)
         if other is NotImplemented:
@@ -197,6 +255,8 @@ class BiPoly:
         if packed:
             width = self.deg_y + other.deg_y + 1
             slots = (self.deg_x + other.deg_x + 1) * width
+            # Every coefficient of the product is below 2^(coeff_bits - 1) in
+            # absolute value.
             coeff_bits = (max(map(int.bit_length, a.values()))
                           + max(map(int.bit_length, b.values()))
                           + len(a).bit_length() + 1)
@@ -206,23 +266,42 @@ class BiPoly:
             # schoolbook loop is cheaper.
             packed = slots * size <= len(a) * len(b)
         if packed:
-            packed_a = _kronecker_pack(a, width, size)
-            packed_b = packed_a if a is b else _kronecker_pack(b, width, size)
-            product = packed_a * packed_b
-            del packed_a, packed_b
-            digits = product.to_bytes(slots * size, "little", signed=True)
-            del product
-            half, full = 1 << (8 * size - 1), 1 << (8 * size)
-            borrow = 0
-            for slot, start in enumerate(range(0, slots * size, size)):
-                c = int.from_bytes(digits[start:start + size], "little") + borrow
-                if c >= half:
-                    c -= full
-                    borrow = 1
-                else:
-                    borrow = 0
-                if c:
-                    data[divmod(slot, width)] = c
+            # 10^digits >= 2^coeff_bits, as 0.30103 > log10(2).
+            digits = coeff_bits * 30103 // 100000 + 1
+            if slots * size >= _DECIMAL_MIN_BYTES and digits <= _DECIMAL_MAX_SLOT_DIGITS:
+                ctx = EXACT_CONTEXT
+                packed_a = _decimal_pack(a, width, digits)
+                packed_b = packed_a if a is b else _decimal_pack(b, width, digits)
+                product = ctx.multiply(packed_a, packed_b)
+                del packed_a, packed_b
+                half = 5 * 10 ** (digits - 1)
+                # A 1 above the top slot makes the string exactly
+                # 1 + slots * digits long, leading zeros included.
+                product = ctx.add(product, ctx.create_decimal("1" + str(half) * slots))
+                text = ctx.to_sci_string(product)
+                del product
+                for slot, end in enumerate(range(len(text), 1, -digits)):
+                    c = int(text[end - digits:end]) - half
+                    if c:
+                        data[divmod(slot, width)] = c
+            else:
+                packed_a = _kronecker_pack(a, width, size)
+                packed_b = packed_a if a is b else _kronecker_pack(b, width, size)
+                product = packed_a * packed_b
+                del packed_a, packed_b
+                octets = product.to_bytes(slots * size, "little", signed=True)
+                del product
+                half, full = 1 << (8 * size - 1), 1 << (8 * size)
+                borrow = 0
+                for slot, start in enumerate(range(0, slots * size, size)):
+                    c = int.from_bytes(octets[start:start + size], "little") + borrow
+                    if c >= half:
+                        c -= full
+                        borrow = 1
+                    else:
+                        borrow = 0
+                    if c:
+                        data[divmod(slot, width)] = c
         else:
             for (ia, ja), ca in a.items():
                 for (ib, jb), cb in b.items():

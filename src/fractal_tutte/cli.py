@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Union
 
 from . import checks, invariants, oracle, recursion
+from .bipoly import EXACT_CONTEXT
 from .errors import CapExceeded, DomainError
 from .lattices import LatticeFamily, build_lattice, to_edge_list
 
@@ -60,29 +61,28 @@ def _decimal(value: int) -> str:
     digits by default (the cap stays in force for parsing command-line
     numbers).  Instead the int is split in binary halves, and the halves are
     joined as lo + hi * 2**w in Decimal arithmetic, whose products are
-    subquadratic and whose str() has no cap.
+    subquadratic and whose string form has no cap.  The arithmetic runs in
+    the exact context, never in the caller's thread-local one.
     """
+    ctx = EXACT_CONTEXT
     powers: Dict[int, decimal.Decimal] = {}
 
     def power_of_two(width: int) -> decimal.Decimal:
         if width not in powers:
             half = width // 2
-            powers[width] = (decimal.Decimal(2) ** width if width <= _DECIMAL_PIECE_BITS
-                             else power_of_two(half) * power_of_two(width - half))
+            powers[width] = (ctx.create_decimal(1 << width) if width <= _DECIMAL_PIECE_BITS
+                             else ctx.multiply(power_of_two(half), power_of_two(width - half)))
         return powers[width]
 
     def convert(n: int, width: int) -> decimal.Decimal:
         if width <= _DECIMAL_PIECE_BITS:
-            return decimal.Decimal(n)
+            return ctx.create_decimal(n)
         half = width // 2
         hi = n >> half
-        return convert(n - (hi << half), half) + convert(hi, width - half) * power_of_two(half)
+        return ctx.add(convert(n - (hi << half), half),
+                       ctx.multiply(convert(hi, width - half), power_of_two(half)))
 
-    with decimal.localcontext() as context:
-        context.prec = decimal.MAX_PREC
-        context.Emax = decimal.MAX_EMAX
-        context.traps[decimal.Inexact] = True
-        digits = str(convert(abs(value), abs(value).bit_length()))
+    digits = ctx.to_sci_string(convert(abs(value), abs(value).bit_length()))
     return "-" + digits if value < 0 else digits
 
 

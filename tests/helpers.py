@@ -1,4 +1,4 @@
-"""Seeded random multigraph builders shared across test modules."""
+"""Seeded random multigraph builders and other helpers shared across test modules."""
 
 from __future__ import annotations
 
@@ -34,3 +34,9 @@ def random_multigraph(rng: random.Random, max_vertices: int = 5,
         for _ in range(rng.randint(0, max_edges))
     )
     return Multigraph(n, edges, 0, n - 1 if n > 1 else 0)
+
+
+def context_settings(context) -> tuple:
+    """Everything of a decimal context that an operation could change."""
+    return (context.prec, context.rounding, context.Emin, context.Emax, context.capitals,
+            context.clamp, dict(context.flags), dict(context.traps))

@@ -1,6 +1,9 @@
 """Polynomial core: canonical form, ring laws, evaluation, division, JSON."""
 
 import contextlib
+import decimal
+import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from fractal_tutte import bipoly
 from fractal_tutte.bipoly import _PACKED_MIN_TERMS, BiPoly
+from helpers import context_settings
 
 X = BiPoly.x()
 Y = BiPoly.y()
@@ -96,17 +100,25 @@ def schoolbook(a, b):
     return BiPoly(data)
 
 
+# The packer of each radix of the packed product.
+PACKERS = {"int": "_kronecker_pack", "decimal": "_decimal_pack"}
+
+
 @contextlib.contextmanager
-def packed_operands():
-    """Collect the slot size of every operand packed inside the block."""
+def packed_operands(radix="int"):
+    """Collect the slot size of every operand packed inside the block, with
+    every packed product put on the given radix."""
     sizes = []
-    original = bipoly._kronecker_pack
+    name = PACKERS[radix]
+    original = getattr(bipoly, name)
 
     def spy(terms, width, size):
         sizes.append(size)
         return original(terms, width, size)
 
-    with mock.patch.object(bipoly, "_kronecker_pack", spy):
+    threshold = 0 if radix == "decimal" else sys.maxsize
+    with mock.patch.object(bipoly, name, spy), \
+            mock.patch.object(bipoly, "_DECIMAL_MIN_BYTES", threshold):
         yield sizes
 
 
@@ -135,14 +147,16 @@ def dense_operands(draw, boxes=BOXES):
     return tuple(operands)
 
 
+@pytest.mark.parametrize("radix", sorted(PACKERS))
 class TestPackedProduct:
-    """Large dense products are packed and agree with the schoolbook product."""
+    """Large dense products are packed, on either radix, and agree with the
+    schoolbook product."""
 
     @settings(max_examples=60, deadline=None)
     @given(dense_operands())
-    def test_matches_schoolbook(self, pair):
+    def test_matches_schoolbook(self, radix, pair):
         a, b = pair
-        with packed_operands() as sizes:
+        with packed_operands(radix) as sizes:
             product = a * b
         assert len(sizes) == 2
         assert product == schoolbook(a, b)
@@ -150,9 +164,9 @@ class TestPackedProduct:
 
     @settings(max_examples=40, deadline=None)
     @given(dense_operands())
-    def test_square_of_same_object(self, pair):
+    def test_square_of_same_object(self, radix, pair):
         a = pair[0]
-        with packed_operands() as sizes:
+        with packed_operands(radix) as sizes:
             square = a * a
         assert len(sizes) == 1
         assert square == schoolbook(a, a)
@@ -160,14 +174,14 @@ class TestPackedProduct:
 
     @settings(max_examples=30, deadline=None)
     @given(dense_operands(boxes=[(40, 0)]), st.integers(_PACKED_MIN_TERMS + 1, 60))
-    def test_interior_coefficients_cancel(self, pair, length):
+    def test_interior_coefficients_cancel(self, radix, pair, length):
         # (1 + x + ... + x^(L-1)) * ((x - 1) * h) = (x^L - 1) * h: most
         # coefficients of the product cancel to zero and must not be stored.
         h = pair[0]
         shifted = (X - 1) * h
         assume(len(shifted) > _PACKED_MIN_TERMS)
         geometric = BiPoly({(i, 0): 1 for i in range(length)})
-        with packed_operands() as sizes:
+        with packed_operands(radix) as sizes:
             product = geometric * shifted
         assert sizes
         assert product == BiPoly({(length, 0): 1, (0, 0): -1}) * h
@@ -175,54 +189,114 @@ class TestPackedProduct:
 
     @settings(max_examples=10, deadline=None)
     @given(dense_operands())
-    def test_zero_operand_and_opposite_sign(self, pair):
+    def test_zero_operand_and_opposite_sign(self, radix, pair):
         a = pair[0]
         assert a * ZERO == ZERO
         assert ZERO * a == ZERO
-        with packed_operands() as sizes:
+        with packed_operands(radix) as sizes:
             assert a * a + a * (-a) == ZERO
         assert sizes
 
     @settings(max_examples=10, deadline=None)
     @given(dense_operands())
-    def test_power(self, pair):
+    def test_power(self, radix, pair):
         a = pair[0]
-        with packed_operands() as sizes:
+        with packed_operands(radix) as sizes:
             cube = a ** 3
         assert sizes
         assert cube == schoolbook(a, schoolbook(a, a))
 
     @pytest.mark.parametrize("bits", range(1, 26))
-    def test_coefficients_at_the_slot_bound(self, bits):
+    def test_coefficients_at_the_slot_bound(self, radix, bits):
         # Every coefficient of the operands at its largest for its bit length,
         # so the middle coefficients of the product come close to the slot's
-        # capacity, with both signs.
+        # capacity, with both signs.  On decimal slots of k digits they reach
+        # 7% to 63% of the bias 5 * 10^(k-1), depending on bits; one digit
+        # less would overflow most of these slots.
         top = (1 << bits) - 1
         a = BiPoly({(i, 0): top for i in range(40)})
         b = BiPoly({(i, 0): -top for i in range(45)})
-        with packed_operands() as sizes:
+        with packed_operands(radix) as sizes:
             assert a * b == schoolbook(a, b)
             assert b * b == schoolbook(b, b)
         assert len(sizes) == 3
 
-    def test_coefficients_above_2_to_the_1000(self):
+    def test_coefficients_above_2_to_the_1000(self, radix):
         # Wide slots pay off only with many terms: 600 and 700 terms, one
         # operand with mixed signs.
         a = BiPoly({(i, 0): (-1) ** i * (2 ** 1030 - 3 ** i) for i in range(600)})
         b = BiPoly({(i, 0): 5 ** 440 - 7 * i for i in range(700)})
-        with packed_operands() as sizes:
+        with packed_operands(radix) as sizes:
             product = a * b
         assert len(sizes) == 2
         assert product == schoolbook(a, b)
 
-    def test_sparse_operands_keep_the_schoolbook_loop(self):
+    def test_sparse_operands_keep_the_schoolbook_loop(self, radix):
         # Forty terms spread over exponents up to 4 * 10^7: packing would need
         # petabytes of mostly empty slots.
         a = BiPoly({(10 ** 6 * i, 10 ** 6 * i): i + 1 for i in range(40)})
-        with packed_operands() as sizes:
+        with packed_operands(radix) as sizes:
             square = a * a
         assert not sizes
         assert square == schoolbook(a, a)
+
+
+class TestDecimalRadix:
+    """Which packed products take decimal-digit slots, and in which context."""
+
+    @staticmethod
+    def dense_60_bit_pair():
+        # Two 800-term operands on a 40 x 20 box, mixed signs: about 52 KB
+        # packed, above the threshold.
+        rng = random.Random(800)
+        return tuple(
+            BiPoly({(i, j): rng.choice((1, -1)) * rng.getrandbits(60) for i in range(40)
+                    for j in range(20)})
+            for _ in range(2))
+
+    def test_large_dense_product_takes_the_decimal_path(self):
+        a, b = self.dense_60_bit_pair()
+        spied = mock.patch.object(bipoly, "_decimal_pack", wraps=bipoly._decimal_pack)
+        with spied as spy:
+            product = a * b
+        assert spy.call_count == 2
+        with packed_operands("int") as sizes:
+            assert product == a * b
+        assert len(sizes) == 2
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="interpreter has no digit limit")
+    def test_slots_too_wide_for_digit_strings_stay_int(self):
+        # 1000 terms of 1061 bits need slots of 643 digits, which int() would
+        # refuse under 640, the least digit limit Python allows.
+        a = BiPoly({(i, 0): (1 << 1060) + i for i in range(1000)})
+        with packed_operands("int"):
+            expected = a * a
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with packed_operands("decimal") as sizes:
+                square = a * a
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert not sizes
+        assert square == expected
+
+    def test_caller_context_is_untouched(self):
+        # The caller's context would round every product to six digits and
+        # record flags; the product must neither use nor change it.
+        a, b = self.dense_60_bit_pair()
+        with packed_operands("int"):
+            expected = a * b
+        with decimal.localcontext() as caller:
+            caller.prec = 6
+            before = context_settings(caller)
+            with packed_operands("decimal") as sizes:
+                product = a * b
+            assert decimal.getcontext() is caller
+            assert context_settings(caller) == before
+        assert sizes
+        assert product == expected
 
 
 class TestPower:

@@ -4,6 +4,7 @@ All tests drive ``main`` in-process and read stdout/stderr through capsys so
 byte-level determinism of the emitted records can be asserted directly.
 """
 
+import decimal
 import hashlib
 import json
 import random
@@ -15,6 +16,7 @@ import pytest
 from fractal_tutte import checks, invariants, oracle, recursion
 from fractal_tutte.cli import _DECIMAL_PIECE_BITS, _decimal, main
 from fractal_tutte.lattices import LatticeFamily, lattice_counts
+from helpers import context_settings
 
 HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
 
@@ -272,6 +274,17 @@ class TestDecimalDigits:
                 values += [10 ** j, 10 ** j - 1, -(10 ** j)]
         for got, expected in self.decimal_strings(values):
             assert got == expected
+
+    def test_caller_context_is_untouched(self):
+        # The caller's context would round to six digits and record flags.
+        value = random.Random(6).getrandbits(5000)
+        with decimal.localcontext() as caller:
+            caller.prec = 6
+            before = context_settings(caller)
+            [(got, expected)] = self.decimal_strings([value])
+            assert decimal.getcontext() is caller
+            assert context_settings(caller) == before
+        assert got == expected
 
     def test_random_values(self):
         rng = random.Random(4300)
