@@ -1,21 +1,23 @@
-"""Brute-force Tutte polynomial oracles used to gate the fast recursions.
+"""Exact Tutte polynomial oracles used to gate the fast recursions.
 
 Two independent routes are implemented:
 
   * spanning-subgraph expansion: a census of all edge subsets classified by
-    rank deficit and nullity, folded into (x-1)^a (y-1)^b binomials;
+    rank deficit and nullity, folded into (x-1)^a (y-1)^b binomials.  The
+    census sweeps the edges once, keeping for each partition of the vertices
+    still to be touched the counts of the subsets that induce it, so its
+    cost follows the number of such partitions rather than 2^|E|;
   * memoized deletion-contraction that eliminates one whole parallel class
     per step, keyed on the relabeled edge list, with one union-find pass
     telling a bridge class from a cycle class.
 
 The expansion also classifies every subset by whether it joins the special
 vertex pair, which yields the two-part split of the polynomial for free.
-"""
+Spanning trees are read off the census as well."""
 
 from __future__ import annotations
 
-from itertools import combinations, starmap
-from math import comb
+from itertools import starmap
 from typing import Dict, Iterable, Tuple
 
 from .bipoly import BiPoly
@@ -33,71 +35,65 @@ def _graph_rank(g: Multigraph) -> int:
     return sum(starmap(union_find(g.vertex_count), g.edges))
 
 
+def _canonical(labels: Iterable[int]) -> Tuple[int, ...]:
+    """Relabel blocks by first appearance, so equal partitions compare equal."""
+    seen: Dict[int, int] = {}
+    return tuple(seen.setdefault(b, len(seen)) for b in labels)
+
+
+def _sweep(g: Multigraph) -> Dict[Tuple[int, ...], Census]:
+    """Count edge subsets by (merges, included edges) for each partition of
+    the specials they induce.
+
+    One pass over the edges in their own order.  A state is the partition
+    of the live vertices -- those with an edge still to come, and the two
+    specials throughout -- into the blocks the subset chosen so far joins.
+    A merge is an included edge that joined two blocks, so the merges of a
+    subset are its rank.  The cost follows the number of states, not 2^|E|.
+    """
+    if len(g.edges) > EXPANSION_EDGE_CAP:
+        raise CapExceeded(f"{len(g.edges)} edges exceeds expansion cap {EXPANSION_EDGE_CAP}")
+    sx, sy = g.special_x, g.special_y
+    last: Dict[int, int] = {}
+    for i, (u, v) in enumerate(g.edges):
+        last[u] = last[v] = i
+    last[sx] = last[sy] = len(g.edges)
+    live = list(dict.fromkeys((sx, sy)))
+    states: Dict[Tuple[int, ...], Census] = {tuple(range(len(live))): {(0, 0): 1}}
+    for i, (u, v) in enumerate(g.edges):
+        for w in (u, v):
+            if w not in live:
+                live.append(w)
+                states = {s + (max(s) + 1,): counts for s, counts in states.items()}
+        pu, pv = live.index(u), live.index(v)
+        keep = [p for p, w in enumerate(live) if last[w] > i]
+        live = [live[p] for p in keep]
+        after: Dict[Tuple[int, ...], Census] = {}
+        for s, counts in states.items():
+            a, b = s[pu], s[pv]
+            merged = tuple(a if t == b else t for t in s)
+            for target, new_merges, new_included in ((s, 0, 0), (merged, int(a != b), 1)):
+                bucket = after.setdefault(_canonical(target[p] for p in keep), {})
+                for (merges, included), ways in counts.items():
+                    key = (merges + new_merges, included + new_included)
+                    bucket[key] = bucket.get(key, 0) + ways
+        states = after
+    return states
+
+
 def rank_nullity_census(g: Multigraph) -> Tuple[Census, Census]:
     """Count edge subsets by (rank deficit, nullity), split by whether the
     subset joins the special pair.  Exact integers throughout."""
-    if len(g.edges) > EXPANSION_EDGE_CAP:
-        raise CapExceeded(f"{len(g.edges)} edges exceeds expansion cap {EXPANSION_EDGE_CAP}")
+    states = _sweep(g)
     rank_full = _graph_rank(g)
-    edges = g.edges
-    edge_total = len(edges)
-    sx, sy = g.special_x, g.special_y
-    parent = list(range(g.vertex_count))
-    size = [1] * g.vertex_count
-    binom = [[comb(m, j) for j in range(m + 1)] for m in range(edge_total + 1)]
     joined: Census = {}
     severed: Census = {}
-
-    def run(idx: int, merges: int, included: int) -> None:
-        # No path compression anywhere: undo must be a plain pointer reset.
-        if merges == rank_full:
-            # The partition already matches the full graph, so every
-            # remaining edge is internal and only nullity can grow.
-            a = sx
-            while parent[a] != a:
-                a = parent[a]
-            b = sy
-            while parent[b] != b:
-                b = parent[b]
-            bucket = joined if a == b else severed
-            row = binom[edge_total - idx]
-            base = included - merges
-            for j, ways in enumerate(row):
-                key = (0, base + j)
-                bucket[key] = bucket.get(key, 0) + ways
-            return
-        if idx == edge_total:
-            a = sx
-            while parent[a] != a:
-                a = parent[a]
-            b = sy
-            while parent[b] != b:
-                b = parent[b]
-            bucket = joined if a == b else severed
+    for s, counts in states.items():
+        # Only the specials are left live; a one-vertex graph has one special.
+        bucket = joined if s[0] == s[-1] else severed
+        for (merges, included), ways in counts.items():
             key = (rank_full - merges, included - merges)
-            bucket[key] = bucket.get(key, 0) + 1
-            return
-        u, v = edges[idx]
-        a = u
-        while parent[a] != a:
-            a = parent[a]
-        b = v
-        while parent[b] != b:
-            b = parent[b]
-        if a == b:
-            run(idx + 1, merges, included + 1)
-            run(idx + 1, merges, included)
-        else:
-            if size[a] < size[b]:
-                a, b = b, a
-            parent[b] = a
-            size[a] += size[b]
-            run(idx + 1, merges + 1, included + 1)
-            size[a] -= size[b]
-            parent[b] = b
-            run(idx + 1, merges, included)
-
-    run(0, 0, 0)
+            bucket[key] = bucket.get(key, 0) + ways
     return joined, severed
 
 
@@ -184,10 +180,8 @@ def tutte_deletion_contraction(g: Multigraph) -> BiPoly:
 
 
 def count_spanning_trees_bruteforce(g: Multigraph) -> int:
-    """Count spanning trees by testing every (|V|-1)-subset of edges."""
-    if len(g.edges) > EXPANSION_EDGE_CAP:
-        raise CapExceeded(f"{len(g.edges)} edges exceeds enumeration cap {EXPANSION_EDGE_CAP}")
-    # A subset of |V| - 1 edges is a spanning tree exactly when each of its
-    # edges joins two classes.
-    return sum(all(starmap(union_find(g.vertex_count), combo))
-               for combo in combinations(g.edges, g.vertex_count - 1))
+    """Count spanning trees: the subsets of |V| - 1 edges that each join two
+    blocks.  On a connected graph they are the census key (0, 0); on a
+    disconnected one no subset reaches rank |V| - 1, so the count is 0."""
+    trees = g.vertex_count - 1
+    return sum(counts.get((trees, trees), 0) for counts in _sweep(g).values())

@@ -14,12 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fractal_tutte import recursion
+from fractal_tutte import oracle, recursion
 from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.checks import run_oracle_gates
 from fractal_tutte.errors import CapExceeded
 from fractal_tutte.invariants import PottsParams, potts_lattice
-from fractal_tutte.lattices import LatticeFamily
+from fractal_tutte.lattices import LatticeFamily, build_lattice
 from fractal_tutte.recursion import (
     TuttePair,
     eval_pair,
@@ -89,6 +89,13 @@ class TestAgainstOracles:
     def test_gates_through_generation_one(self):
         results = run_oracle_gates(1)
         assert results and all(r.passed for r in results)
+
+    def test_split_census_at_generation_three(self, monkeypatch, symbolic_n3):
+        # 64 to 85 edges: past the census cap, which this test lifts.
+        monkeypatch.setattr(oracle, "EXPANSION_EDGE_CAP", 100)
+        for family, pair in symbolic_n3.items():
+            joined, severed = oracle.split_tutte(build_lattice(family, 3))
+            assert (joined, severed) == (pair.joined, (X - 1) * pair.cofactor), family
 
 
 class TestPointwiseEvaluation:
