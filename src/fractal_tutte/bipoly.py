@@ -142,9 +142,6 @@ class BiPoly:
 
     # -- inspection --------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def coefficient(self, i: int, j: int) -> int:
         return self._terms.get((i, j), 0)
 

@@ -59,11 +59,12 @@ def run_oracle_gates(n_max: int = ORACLE_GATE_CAP) -> List[GateResult]:
     return results
 
 
-def run_closed_form_gates(n_max: int = CLOSED_FORM_GATE_CAP) -> List[GateResult]:
-    """Closed-form counts and special points vs the evaluated recursion."""
+def run_closed_form_gates() -> List[GateResult]:
+    """Closed-form counts and special points vs the evaluated recursion,
+    for every generation up to CLOSED_FORM_GATE_CAP."""
     results: List[GateResult] = []
     for family in LatticeFamily:
-        for n in range(n_max + 1):
+        for n in range(CLOSED_FORM_GATE_CAP + 1):
             trees = invariants.spanning_tree_count(family, n)
             at_11 = recursion.tutte_eval(family, n, 1, 1)
             _gate(results, f"{family.value} n={n} spanning trees",
@@ -74,7 +75,7 @@ def run_closed_form_gates(n_max: int = CLOSED_FORM_GATE_CAP) -> List[GateResult]
                   (built.vertex_count, built.edge_count) == (vertices, edges),
                   f"built ({built.vertex_count}, {built.edge_count}) != closed ({vertices}, {edges})")
 
-    for n in range(n_max + 1):
+    for n in range(CLOSED_FORM_GATE_CAP + 1):
         acyclic = invariants.acyclic_root_connected_orientations(n)
         at_10 = recursion.tutte_eval(LatticeFamily.FRACTAL, n, 1, 0)
         _gate(results, f"fractal n={n} sink-rooted acyclic orientations",
@@ -98,6 +99,5 @@ def run_closed_form_gates(n_max: int = CLOSED_FORM_GATE_CAP) -> List[GateResult]
     return results
 
 
-def run_gates(oracle_n_max: int = ORACLE_GATE_CAP,
-              closed_form_n_max: int = CLOSED_FORM_GATE_CAP) -> List[GateResult]:
-    return run_oracle_gates(oracle_n_max) + run_closed_form_gates(closed_form_n_max)
+def run_gates(oracle_n_max: int = ORACLE_GATE_CAP) -> List[GateResult]:
+    return run_oracle_gates(oracle_n_max) + run_closed_form_gates()

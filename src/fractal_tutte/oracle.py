@@ -17,6 +17,7 @@ Spanning trees are read off the census as well."""
 
 from __future__ import annotations
 
+import math
 from itertools import starmap
 from typing import Dict, Iterable, Tuple
 
@@ -97,12 +98,21 @@ def rank_nullity_census(g: Multigraph) -> Tuple[Census, Census]:
     return joined, severed
 
 
+def _signed_binomials(k: int) -> list[int]:
+    """Coefficients of (z - 1)^k, constant term first."""
+    return [(-1) ** (k - i) * math.comb(k, i) for i in range(k + 1)]
+
+
 def _census_to_poly(counts: Census) -> BiPoly:
-    x_minus_1, y_minus_1 = BiPoly.x() - 1, BiPoly.y() - 1
-    total = BiPoly.zero()
-    for (a, b) in sorted(counts):
-        total = total + counts[(a, b)] * x_minus_1 ** a * y_minus_1 ** b
-    return total
+    """The sum of ways * (x - 1)^a (y - 1)^b over the census keys (a, b),
+    each expanded by the binomial theorem into one coefficient dict."""
+    terms: Dict[Tuple[int, int], int] = {}
+    for (a, b), ways in counts.items():
+        column = _signed_binomials(b)
+        for i, cx in enumerate(_signed_binomials(a)):
+            for j, cy in enumerate(column):
+                terms[i, j] = terms.get((i, j), 0) + ways * cx * cy
+    return BiPoly(terms)
 
 
 def tutte_subgraph_expansion(g: Multigraph) -> BiPoly:

@@ -6,9 +6,9 @@ of the remaining part after its guaranteed (x - 1) factor is pulled out.
 One step expresses the next pair in the four copies glued for the family;
 the full polynomial is reassembled as joined + (x - 1) * cofactor.
 
-The step rules are written once, homogeneously, over an arbitrary commutative
-ring, so the same code runs symbolically on polynomials and pointwise on the
-integer numerators of a rational point.
+One table holds each family's step as quartic forms in the pair, written
+homogeneously over any commutative ring, so one rule runs symbolically on
+polynomials and pointwise on the integer numerators of a rational point.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ Ring = Union[BiPoly, int]
 
 class TuttePair(NamedTuple):
     """Split state: joined part and the (x - 1)-cofactor of the severed part,
-    as polynomials, or as values at a point when eval_pair returns it."""
+    as polynomials, or at a point from eval_pair.  assemble() works on the
+    symbolic pair only; tutte_eval gives the assembled value at a point."""
 
     joined: Union[BiPoly, Fraction]
     cofactor: Union[BiPoly, Fraction]
@@ -39,71 +40,46 @@ class TuttePair(NamedTuple):
         return self.joined + (BiPoly.x() - 1) * self.cofactor
 
 
-# Each rule is written homogeneously in (x, y, d): its coefficients have
-# degree at most 2 in (x, y) and are scaled by d^2.  With d = 1 it is the
-# step at (x, y), symbolic or not; with integers X, Y, D it maps numerators
-# over D^e to numerators over D^(4e + 2) at the point (X/D, Y/D).
-#
-# Each rule adds every quartic product (t^4, t^3 c, t^2 c^2, t c^3, c^4) to
-# its partial sums as soon as it is formed and drops it after its last use,
-# so symbolically at most one of them is alive beside the two partial sums.
-
-
-def _fractal_rule(t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
-    t2 = t * t
-    c2 = c * c
-    tc = t * c
-    t2c2 = tc * tc
-    joined = (2 * x * d + 2 * d * d) * t2c2
-    cofactor = (2 * y * d + 2 * d * d) * t2c2
-    del t2c2
-    joined = joined + y * (y - d) * (t2 * t2)
-    joined = joined + 4 * y * d * (t2 * tc)
-    cofactor = cofactor + 4 * x * d * (tc * c2)
-    cofactor = cofactor + x * (x - d) * (c2 * c2)
-    return joined, cofactor
-
-
-def _flower22_rule(t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
-    t2 = t * t
-    c2 = c * c
-    tc = t * c
-    xm1 = x - d
-    t2c2 = tc * tc
-    joined = 2 * xm1 * d * t2c2
-    cofactor = 4 * d * d * t2c2
-    del t2c2
-    joined = joined + (y - d) * d * (t2 * t2)
-    joined = joined + 4 * d * d * (t2 * tc)
-    cofactor = cofactor + 4 * xm1 * d * (tc * c2)
-    cofactor = cofactor + xm1 * xm1 * (c2 * c2)
-    return joined, cofactor
-
-
-def _flower13_rule(t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
-    t2 = t * t
-    c2 = c * c
-    tc = t * c
-    xm1 = x - d
-    t2c2 = tc * tc
-    joined = 3 * xm1 * d * t2c2
-    cofactor = 3 * d * d * t2c2
-    del t2c2
-    tcc2 = tc * c2
-    joined = joined + xm1 * xm1 * tcc2
-    cofactor = cofactor + 3 * xm1 * d * tcc2
-    del tcc2
-    joined = joined + (y - d) * d * (t2 * t2)
-    joined = joined + 4 * d * d * (t2 * tc)
-    cofactor = cofactor + xm1 * xm1 * (c2 * c2)
-    return joined, cofactor
-
-
-_STEP_RULES: dict[LatticeFamily, Callable[[Ring, Ring, Ring, Ring, int], Tuple[Ring, Ring]]] = {
-    LatticeFamily.FRACTAL: _fractal_rule,
-    LatticeFamily.FLOWER22: _flower22_rule,
-    LatticeFamily.FLOWER13: _flower13_rule,
+# The next joined part and cofactor are quartic forms in the pair (t, c):
+# each entry gives their coefficients of t^4, t^3 c, t^2 c^2, t c^3 and c^4,
+# with 0 where a term is absent.  Each coefficient, of degree at most 2 in
+# (x, y), is written as a homogeneous quadratic in (x, y, d).  With d = 1 the
+# step is at (x, y), symbolic or not; with integers X, Y, D it maps
+# numerators over D^e to numerators over D^(4e + 2) at (X/D, Y/D).
+_QUARTIC_FORMS: dict[LatticeFamily,
+                     Callable[[Ring, Ring, int], Tuple[Tuple[Ring, ...], Tuple[Ring, ...]]]] = {
+    LatticeFamily.FRACTAL: lambda x, y, d: (
+        (y * (y - d), 4 * y * d, 2 * (x + d) * d, 0, 0),
+        (0, 0, 2 * (y + d) * d, 4 * x * d, x * (x - d))),
+    LatticeFamily.FLOWER22: lambda x, y, d: (
+        ((y - d) * d, 4 * d * d, 2 * (x - d) * d, 0, 0),
+        (0, 0, 4 * d * d, 4 * (x - d) * d, (x - d) * (x - d))),
+    LatticeFamily.FLOWER13: lambda x, y, d: (
+        ((y - d) * d, 4 * d * d, 3 * (x - d) * d, (x - d) * (x - d), 0),
+        (0, 0, 3 * d * d, 3 * (x - d) * d, (x - d) * (x - d))),
 }
+
+
+def _rule(family: LatticeFamily, t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
+    """The next (joined, cofactor) from the pair (t, c).  Each quartic is
+    formed once, from t^2, c^2 and t c; one that only one sum uses is never
+    bound to a name, and one whose coefficients both vanish is never formed,
+    so symbolically at most one quartic is alive beside the two sums."""
+    joined_coefficients, cofactor_coefficients = _QUARTIC_FORMS[family](x, y, d)
+    t2, c2, tc = t * t, c * c, t * c
+    factors = ((t2, t2), (t2, tc), (tc, tc), (tc, c2), (c2, c2))
+    joined = cofactor = 0
+    for a, b, (u, v) in zip(joined_coefficients, cofactor_coefficients, factors):
+        if a and b:
+            quartic = u * v
+            joined = joined + a * quartic
+            cofactor = cofactor + b * quartic
+            del quartic
+        elif a:
+            joined = joined + a * (u * v)
+        elif b:
+            cofactor = cofactor + b * (u * v)
+    return joined, cofactor
 
 
 def initial_pair() -> TuttePair:
@@ -114,8 +90,7 @@ def initial_pair() -> TuttePair:
 def step(family: LatticeFamily, pair: TuttePair) -> TuttePair:
     """One symbolic generation step.  It has no cap: starting from
     initial_pair() and stepping n times runs past SYMBOLIC_GENERATION_CAP."""
-    rule = _STEP_RULES[family]
-    return TuttePair(*rule(pair.joined, pair.cofactor, BiPoly.x(), BiPoly.y(), 1))
+    return TuttePair(*_rule(family, pair.joined, pair.cofactor, BiPoly.x(), BiPoly.y(), 1))
 
 
 def tutte_pair(family: LatticeFamily, n: int) -> TuttePair:
@@ -187,9 +162,8 @@ def _eval_numerators(family: LatticeFamily, n: int, x: Union[int, Fraction],
         raise CapExceeded(f"evaluation numerators of about {predicted} bits exceed cap "
                           f"{EVAL_NUMERATOR_BITS_CAP}")
     joined, cofactor, e = 1, 1, 0
-    rule = _STEP_RULES[family]
     for _ in range(n):
-        joined, cofactor = rule(joined, cofactor, big_x, big_y, d)
+        joined, cofactor = _rule(family, joined, cofactor, big_x, big_y, d)
         e = 4 * e + 2
         while e and d > 1 and not (joined % d or cofactor % d):
             joined //= d

@@ -370,13 +370,13 @@ class TestVerify:
         assert excinfo.value.code == 2
 
     def test_detects_a_mutated_step_rule(self, capsys, monkeypatch):
-        original = recursion._STEP_RULES[LatticeFamily.FRACTAL]
+        original = recursion._QUARTIC_FORMS[LatticeFamily.FRACTAL]
 
-        def broken(t, c, x, y, d):
-            joined, cofactor = original(t, c, x, y, d)
-            return joined + 1, cofactor
+        def broken(x, y, d):
+            joined, cofactor = original(x, y, d)
+            return (joined[0] + d * d,) + joined[1:], cofactor
 
-        monkeypatch.setitem(recursion._STEP_RULES, LatticeFamily.FRACTAL, broken)
+        monkeypatch.setitem(recursion._QUARTIC_FORMS, LatticeFamily.FRACTAL, broken)
         code, out, err = run(capsys, "verify", "--n-max", "1")
         assert code == 1
         assert "FAIL" in out

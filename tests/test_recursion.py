@@ -70,6 +70,22 @@ class TestSingleStep:
         assert pair.cofactor == X * X + X + 1
 
 
+class TestQuarticForms:
+    def test_coefficients_are_homogeneous_quadratics(self):
+        # The pointwise recursion takes numerators over D^e to numerators
+        # over D^(4e + 2) only if scaling (X, Y, D) by k scales every
+        # coefficient by k^2.
+        rng = random.Random(2718)
+        for family, forms in recursion._QUARTIC_FORMS.items():
+            for _ in range(50):
+                big_x, big_y = rng.randint(-99, 99), rng.randint(-99, 99)
+                d, k = rng.randint(1, 99), rng.randint(-9, 9)
+                scaled = forms(k * big_x, k * big_y, k * d)
+                for part, scaled_part in zip(forms(big_x, big_y, d), scaled):
+                    assert len(part) == len(scaled_part) == 5, family
+                    assert list(scaled_part) == [k * k * a for a in part], family
+
+
 class TestAssembledPolynomials:
     def test_generation_zero_is_single_edge(self):
         for family in LatticeFamily:
@@ -260,7 +276,7 @@ class TestCaps:
 
         def no_step(*args):
             raise Stepped
-        monkeypatch.setattr(recursion, "_STEP_RULES", dict.fromkeys(LatticeFamily, no_step))
+        monkeypatch.setattr(recursion, "_QUARTIC_FORMS", dict.fromkeys(LatticeFamily, no_step))
         for point in [(Fraction(1, 2 ** 24 + 1), 2), (2 ** 24 + 1, 2), (1, -2 ** 24 - 1)]:
             with pytest.raises(CapExceeded):
                 tutte_eval(LatticeFamily.FRACTAL, 10, *point)
