@@ -41,10 +41,21 @@ def _family(text: str) -> LatticeFamily:
 
 
 def _rational(text: str) -> Fraction:
+    """An integer, p/q or decimal argument, exactly.  Its numerator and
+    denominator may have no more digits than int parsing allows (4300 if the
+    interpreter has no such limit), so that the record can print them.
+    Fraction expands an exponent as a power of ten, which that limit does
+    not guard, so a longer exponent is refused before the power is built."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 4300
+    _, marker, exponent = text.lower().partition("e")
     try:
-        return Fraction(text)
+        if not (marker and limit and abs(int(exponent)) > limit):
+            value = Fraction(text)
+            if not limit or max(abs(value.numerator), value.denominator) < 10 ** limit:
+                return value
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"expected an integer or p/q rational, got {text!r}")
+    raise argparse.ArgumentTypeError(f"{text!r} has more than {limit} digits")
 
 
 def _nonnegative(text: str) -> int:

@@ -6,8 +6,8 @@ of the remaining part after its guaranteed (x - 1) factor is pulled out.
 One step expresses the next pair in the four copies glued for the family;
 the full polynomial is reassembled as joined + (x - 1) * cofactor.
 
-One table holds each family's step as quartic forms in the pair, written
-homogeneously over any commutative ring, so one rule runs symbolically on
+One table holds each family's step as quartic forms in the pair, over any
+commutative ring; one rule, grouped by t^2 and c^2, runs it symbolically on
 polynomials and pointwise on the integer numerators of a rational point.
 """
 
@@ -61,25 +61,25 @@ _QUARTIC_FORMS: dict[LatticeFamily,
 
 
 def _rule(family: LatticeFamily, t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
-    """The next (joined, cofactor) from the pair (t, c).  Each quartic is
-    formed once, from t^2, c^2 and t c; one that only one sum uses is never
-    bound to a name, and one whose coefficients both vanish is never formed,
-    so symbolically at most one quartic is alive beside the two sums."""
-    joined_coefficients, cofactor_coefficients = _QUARTIC_FORMS[family](x, y, d)
+    """The next (joined, cofactor) from the pair (t, c).  Each form
+    a0 t^4 + a1 t^3 c + a2 t^2 c^2 + a3 t c^3 + a4 c^4 is summed as
+    t^2 (a0 t^2 + a1 t c + a2 c^2) + c^2 (a3 t c + a4 c^2), the a2 term going
+    to the c^2 group if that is nonempty: one quartic-size product per group."""
     t2, c2, tc = t * t, c * c, t * c
-    factors = ((t2, t2), (t2, tc), (tc, tc), (tc, c2), (c2, c2))
-    joined = cofactor = 0
-    for a, b, (u, v) in zip(joined_coefficients, cofactor_coefficients, factors):
-        if a and b:
-            quartic = u * v
-            joined = joined + a * quartic
-            cofactor = cofactor + b * quartic
-            del quartic
-        elif a:
-            joined = joined + a * (u * v)
-        elif b:
-            cofactor = cofactor + b * (u * v)
-    return joined, cofactor
+    next_pair = []
+    for a0, a1, a2, a3, a4 in _QUARTIC_FORMS[family](x, y, d):
+        c2_used = a3 or a4
+        total = 0
+        for square, terms in ((t2, ((a0, t2), (a1, tc), (0 if c2_used else a2, c2))),
+                              (c2, ((a2 if c2_used else 0, t2), (a3, tc), (a4, c2)))):
+            group = None
+            for a, u in terms:
+                if a:
+                    group = a * u if group is None else group + a * u
+            if group is not None:
+                total = total + square * group
+        next_pair.append(total)
+    return next_pair[0], next_pair[1]
 
 
 def initial_pair() -> TuttePair:

@@ -9,6 +9,7 @@ import hashlib
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,35 @@ class TestEval:
         with pytest.raises(SystemExit) as excinfo:
             main(["eval", "--family", "fractal", "--n", "1", "--x", "pi", "--y", "1"])
         assert excinfo.value.code == 2
+
+    def test_huge_exponent_is_a_usage_error_before_it_is_expanded(self, capsys):
+        # Fraction("1e10000000") alone takes seconds: it builds 10**10000000.
+        for text in ("1e10000000", "-2.5E-10000000", "1e" + "9" * 5000):
+            start = time.perf_counter()
+            with pytest.raises(SystemExit) as excinfo:
+                main(["eval", "--family", "fractal", "--n", "1", f"--x={text}", "--y", "1"])
+            assert excinfo.value.code == 2
+            assert time.perf_counter() - start < 0.5
+            assert "usage" in capsys.readouterr().err
+
+    def test_exponent_past_the_digit_limit_is_a_usage_error(self, capsys):
+        # 10^4300 parses quickly, but its 4301 digits could not be printed
+        # back in the record.
+        for argv in (["eval", "--family", "fractal", "--n", "1", "--x", "1e4300", "--y", "1"],
+                     ["potts", "--family", "fractal", "--n", "1", "--q", "2", "--v", "3e-5000"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+
+    def test_short_exponents_and_decimals_still_parse(self, capsys):
+        # Generation 0 is one edge, whose Tutte polynomial is x.
+        for text, value in (("25e-1", {"num": "5", "den": "2"}), ("1E3", "1000"),
+                            ("0.5", {"num": "1", "den": "2"}), ("-3/7", {"num": "-3", "den": "7"}),
+                            ("12", "12")):
+            code, out, _ = run(capsys, "eval", "--family", "fractal", "--n", "0",
+                               f"--x={text}", "--y", "1")
+            assert code == 0
+            assert json.loads(out)["value"] == value
 
     def test_generation_cap(self, capsys):
         code, _, err = run(

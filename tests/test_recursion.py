@@ -86,6 +86,74 @@ class TestQuarticForms:
                     assert list(scaled_part) == [k * k * a for a in part], family
 
 
+def quartic_sums(family, t, c, x, y, d):
+    """(joined, cofactor) as sum a_k t^(4 - k) c^k, straight from the table."""
+    return tuple(sum((a * t ** (4 - k) * c ** k for k, a in enumerate(part)), 0)
+                 for part in recursion._QUARTIC_FORMS[family](x, y, d))
+
+
+class CountingRing:
+    """An int that counts products of two CountingRing operands, that is of
+    the pair and what is made from it; a product by a plain-int coefficient
+    is not counted."""
+
+    def __init__(self, value, counter):
+        self.value, self.counter = value, counter
+
+    def __mul__(self, other):
+        if isinstance(other, CountingRing):
+            self.counter.append(1)
+            other = other.value
+        return CountingRing(self.value * other, self.counter)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        other = other.value if isinstance(other, CountingRing) else other
+        return CountingRing(self.value + other, self.counter)
+
+    __radd__ = __add__
+
+
+class TestRule:
+    @pytest.mark.parametrize("family", list(LatticeFamily))
+    def test_matches_quartic_sums_at_integers(self, family):
+        rng = random.Random(1618)
+        for _ in range(200):
+            d = rng.randint(1, 9)
+            # X = D, Y = D and X = 0 make some coefficients vanish.
+            big_x = rng.choice([d, 0, -d, rng.randint(-99, 99)])
+            big_y = rng.choice([d, 0, rng.randint(-99, 99)])
+            t = rng.choice([0, rng.randint(-10 ** 6, 10 ** 6)])
+            c = rng.randint(-10 ** 6, 10 ** 6)
+            assert (recursion._rule(family, t, c, big_x, big_y, d)
+                    == quartic_sums(family, t, c, big_x, big_y, d))
+
+    @pytest.mark.parametrize("family", list(LatticeFamily))
+    def test_matches_quartic_sums_on_polynomials(self, family):
+        rng = random.Random(3141)
+
+        def small_poly():
+            return BiPoly({(rng.randint(0, 3), rng.randint(0, 3)): rng.randint(-5, 5)
+                           for _ in range(rng.randint(1, 6))})
+
+        pairs = [tuple(tutte_pair(family, n)) for n in range(3)]
+        pairs += [(small_poly(), small_poly()) for _ in range(20)]
+        for t, c in pairs:
+            for x, y, d in ((X, Y, 1), (X, Y, 3), (X, BiPoly.one(), 1), (BiPoly.one(), Y, 1)):
+                assert recursion._rule(family, t, c, x, y, d) == quartic_sums(family, t, c, x, y, d)
+
+    @pytest.mark.parametrize("family, products", [
+        (LatticeFamily.FRACTAL, 5), (LatticeFamily.FLOWER22, 5), (LatticeFamily.FLOWER13, 6)])
+    def test_products_of_pair_sized_operands(self, family, products):
+        # t^2, c^2 and t c, then one product per nonempty group of each form.
+        counter = []
+        t, c = CountingRing(11, counter), CountingRing(-13, counter)
+        joined, cofactor = recursion._rule(family, t, c, 5, 7, 3)
+        assert len(counter) == products
+        assert (joined.value, cofactor.value) == quartic_sums(family, 11, -13, 5, 7, 3)
+
+
 class TestAssembledPolynomials:
     def test_generation_zero_is_single_edge(self):
         for family in LatticeFamily:
