@@ -2,24 +2,24 @@
 
 Two independent routes are implemented:
 
-  * spanning-subgraph expansion: a census of all edge subsets classified by
-    rank deficit and nullity, folded into (x-1)^a (y-1)^b binomials.  The
-    census sweeps the edges once, keeping for each partition of the vertices
-    still to be touched the counts of the subsets that induce it, so its
-    cost follows the number of such partitions rather than 2^|E|;
+  * spanning-subgraph expansion: the sum over all edge subsets A of
+    u^(k(A) - k(E)) v^(nullity of A), with u = x - 1 and v = y - 1, over
+    any commutative ring.  One sweep over the edges keeps, for each
+    partition of the vertices still to be touched, the summed weight of
+    the subsets that induce it, so its cost follows the number of such
+    partitions rather than 2^|E|.  The same sweep gives the census of
+    subsets by (rank deficit, nullity) at u = x, v = y, and on a connected
+    graph the spanning trees at u = v = 0;
   * memoized deletion-contraction that eliminates one whole parallel class
     per step, keyed on the relabeled edge list, with one union-find pass
     telling a bridge class from a cycle class.
 
-The expansion also classifies every subset by whether it joins the special
-vertex pair, which yields the two-part split of the polynomial for free.
-Spanning trees are read off the census as well."""
+The sweep also splits the sum by whether a subset joins the special vertex
+pair, which yields the two-part split of the polynomial for free."""
 
 from __future__ import annotations
 
-import math
-from itertools import starmap
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Tuple, TypeVar
 
 from .bipoly import BiPoly
 from .errors import CapExceeded
@@ -29,90 +29,86 @@ EXPANSION_EDGE_CAP = 24
 DC_EDGE_CAP = 64
 
 Census = Dict[Tuple[int, int], int]
-
-
-def _graph_rank(g: Multigraph) -> int:
-    """Rank |V| - (number of components)."""
-    return sum(starmap(union_find(g.vertex_count), g.edges))
+R = TypeVar("R")
 
 
 def _canonical(labels: Iterable[int]) -> Tuple[int, ...]:
     """Relabel blocks by first appearance, so equal partitions compare equal."""
     seen: Dict[int, int] = {}
-    return tuple(seen.setdefault(b, len(seen)) for b in labels)
+    return tuple([seen.setdefault(b, len(seen)) for b in labels])
 
 
-def _sweep(g: Multigraph) -> Dict[Tuple[int, ...], Census]:
-    """Count edge subsets by (merges, included edges) for each partition of
-    the specials they induce.
+def _sweep(g: Multigraph, u: R, v: R) -> Tuple[R, R]:
+    """The sums of u^(k(A) - k(E)) v^(|A| - |V| + k(A)) over the edge subsets
+    A that join the special pair and over those that do not, k counting
+    components.
 
     One pass over the edges in their own order.  A state is the partition
     of the live vertices -- those with an edge still to come, and the two
-    specials throughout -- into the blocks the subset chosen so far joins.
-    A merge is an included edge that joined two blocks, so the merges of a
-    subset are its rank.  The cost follows the number of states, not 2^|E|.
+    specials throughout -- into the blocks the subset chosen so far joins,
+    and it carries the summed weight of those subsets.  An included edge
+    inside a block closes a cycle, a factor v.  A block whose vertices have
+    all left is a finished component of A, a factor u; one such factor is
+    skipped at the edge where a component of G finishes, which makes the
+    exponent k(A) - k(E).  The cost follows the number of states, not 2^|E|.
     """
     if len(g.edges) > EXPANSION_EDGE_CAP:
         raise CapExceeded(f"{len(g.edges)} edges exceeds expansion cap {EXPANSION_EDGE_CAP}")
-    sx, sy = g.special_x, g.special_y
+    sx, sy, met = g.special_x, g.special_y, g.vertex_count
     last: Dict[int, int] = {}
-    for i, (u, v) in enumerate(g.edges):
-        last[u] = last[v] = i
+    for i, (a, b) in enumerate(g.edges):
+        last[a] = last[b] = i
     last[sx] = last[sy] = len(g.edges)
+    # Index `met` is joined to each component of G once it is met.  Going
+    # back from the last edge, an edge that meets a new component is that
+    # component's last; the specials, joined to each other and to `met`
+    # first, stay live to the end.
+    union = union_find(met + 1)
+    for a, b in g.edges:
+        union(a, b)
+    specials_together = not union(sx, sy)
+    union(sx, met)
+    g_finishes = [union(a, met) for a, _ in reversed(g.edges)][::-1]
+    factors: Dict[Tuple[int, int], R] = {}
     live = list(dict.fromkeys((sx, sy)))
-    states: Dict[Tuple[int, ...], Census] = {tuple(range(len(live))): {(0, 0): 1}}
-    for i, (u, v) in enumerate(g.edges):
-        for w in (u, v):
+    states: Dict[Tuple[int, ...], R] = {tuple(range(len(live))): u ** 0}  # the ring's one
+    for i, (a, b) in enumerate(g.edges):
+        for w in (a, b):
             if w not in live:
                 live.append(w)
-                states = {s + (max(s) + 1,): counts for s, counts in states.items()}
-        pu, pv = live.index(u), live.index(v)
+                states = {s + (max(s) + 1,): weight for s, weight in states.items()}
+        pa, pb = live.index(a), live.index(b)
         keep = [p for p, w in enumerate(live) if last[w] > i]
         live = [live[p] for p in keep]
-        after: Dict[Tuple[int, ...], Census] = {}
-        for s, counts in states.items():
-            a, b = s[pu], s[pv]
-            merged = tuple(a if t == b else t for t in s)
-            for target, new_merges, new_included in ((s, 0, 0), (merged, int(a != b), 1)):
-                bucket = after.setdefault(_canonical(target[p] for p in keep), {})
-                for (merges, included), ways in counts.items():
-                    key = (merges + new_merges, included + new_included)
-                    bucket[key] = bucket.get(key, 0) + ways
+        after: Dict[Tuple[int, ...], R] = {}
+        for s, weight in states.items():
+            sa, sb, top = s[pa], s[pb], max(s)
+            left = [s[p] for p in keep]
+            cycle = int(sa == sb)
+            # The edge left out, then put in.
+            for labels, blocks, closes in ((left, top + 1, 0),
+                                           ([sa if t == sb else t for t in left], top + cycle, cycle)):
+                kept = _canonical(labels)
+                dead = blocks - max(kept) - 1 - g_finishes[i]
+                if (closes, dead) not in factors:
+                    factors[closes, dead] = v ** closes * u ** dead
+                term = weight * factors[closes, dead] if closes or dead else weight
+                if term:
+                    after[kept] = after[kept] + term if kept in after else term
         states = after
-    return states
+    # Only the specials are left live; a one-vertex graph has one special.
+    zero = u * 0
+    joined = sum((w for s, w in states.items() if s[0] == s[-1]), zero)
+    severed = sum((w for s, w in states.items() if s[0] != s[-1]), zero)
+    # Specials in one component of G: k(E) counts it once, k(A) twice.
+    return joined, severed * u if specials_together else severed
 
 
 def rank_nullity_census(g: Multigraph) -> Tuple[Census, Census]:
     """Count edge subsets by (rank deficit, nullity), split by whether the
     subset joins the special pair.  Exact integers throughout."""
-    states = _sweep(g)
-    rank_full = _graph_rank(g)
-    joined: Census = {}
-    severed: Census = {}
-    for s, counts in states.items():
-        # Only the specials are left live; a one-vertex graph has one special.
-        bucket = joined if s[0] == s[-1] else severed
-        for (merges, included), ways in counts.items():
-            key = (rank_full - merges, included - merges)
-            bucket[key] = bucket.get(key, 0) + ways
-    return joined, severed
-
-
-def _signed_binomials(k: int) -> list[int]:
-    """Coefficients of (z - 1)^k, constant term first."""
-    return [(-1) ** (k - i) * math.comb(k, i) for i in range(k + 1)]
-
-
-def _census_to_poly(counts: Census) -> BiPoly:
-    """The sum of ways * (x - 1)^a (y - 1)^b over the census keys (a, b),
-    each expanded by the binomial theorem into one coefficient dict."""
-    terms: Dict[Tuple[int, int], int] = {}
-    for (a, b), ways in counts.items():
-        column = _signed_binomials(b)
-        for i, cx in enumerate(_signed_binomials(a)):
-            for j, cy in enumerate(column):
-                terms[i, j] = terms.get((i, j), 0) + ways * cx * cy
-    return BiPoly(terms)
+    joined, severed = _sweep(g, BiPoly.x(), BiPoly.y())
+    return joined.terms(), severed.terms()
 
 
 def tutte_subgraph_expansion(g: Multigraph) -> BiPoly:
@@ -126,8 +122,7 @@ def split_tutte(g: Multigraph) -> Tuple[BiPoly, BiPoly]:
 
     Returns (joined part, severed part); the two sum to the full polynomial.
     """
-    joined, severed = rank_nullity_census(g)
-    return _census_to_poly(joined), _census_to_poly(severed)
+    return _sweep(g, BiPoly.x() - 1, BiPoly.y() - 1)
 
 
 # -- deletion-contraction ---------------------------------------------------
@@ -190,8 +185,7 @@ def tutte_deletion_contraction(g: Multigraph) -> BiPoly:
 
 
 def count_spanning_trees_bruteforce(g: Multigraph) -> int:
-    """Count spanning trees: the subsets of |V| - 1 edges that each join two
-    blocks.  On a connected graph they are the census key (0, 0); on a
-    disconnected one no subset reaches rank |V| - 1, so the count is 0."""
-    trees = g.vertex_count - 1
-    return sum(counts.get((trees, trees), 0) for counts in _sweep(g).values())
+    """Count spanning trees: on a connected graph, the subsets with no cycle
+    and one component, the sweep's sum at u = v = 0; a disconnected graph
+    has none."""
+    return sum(_sweep(g, 0, 0)) if g.is_connected() else 0

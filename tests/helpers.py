@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
-from typing import Tuple
+from itertools import starmap
+from typing import Dict, Tuple
 
-from fractal_tutte.lattices import Multigraph
+from fractal_tutte.lattices import Multigraph, union_find
 
 
 def _normalized(u: int, v: int) -> Tuple[int, int]:
@@ -34,6 +35,23 @@ def random_multigraph(rng: random.Random, max_vertices: int = 5,
         for _ in range(rng.randint(0, max_edges))
     )
     return Multigraph(n, edges, 0, n - 1 if n > 1 else 0)
+
+
+def listed_census(g: Multigraph) -> Tuple[Dict[Tuple[int, int], int], Dict[Tuple[int, int], int]]:
+    """Edge subsets counted one by one by (rank deficit, nullity), split by
+    whether the subset joins the special pair; at most 10 edges."""
+    assert g.edge_count <= 10
+    full_rank = sum(starmap(union_find(g.vertex_count), g.edges))
+    joined: Dict[Tuple[int, int], int] = {}
+    severed: Dict[Tuple[int, int], int] = {}
+    for mask in range(1 << g.edge_count):
+        subset = [e for k, e in enumerate(g.edges) if mask >> k & 1]
+        union = union_find(g.vertex_count)
+        rank = sum(starmap(union, subset))
+        bucket = severed if union(g.special_x, g.special_y) else joined
+        key = (full_rank - rank, len(subset) - rank)
+        bucket[key] = bucket.get(key, 0) + 1
+    return joined, severed
 
 
 def context_settings(context) -> tuple:

@@ -16,7 +16,7 @@ import pytest
 
 from fractal_tutte import checks, invariants, oracle, recursion
 from fractal_tutte.cli import _DECIMAL_PIECE_BITS, _decimal, main
-from fractal_tutte.lattices import LatticeFamily, lattice_counts
+from fractal_tutte.lattices import LatticeFamily, build_lattice, lattice_counts
 from helpers import context_settings
 
 HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
@@ -385,14 +385,18 @@ class TestVerify:
 
     def test_one_census_per_oracle_graph(self, monkeypatch):
         calls = []
-        census = oracle.rank_nullity_census
+        sweep = oracle._sweep
 
-        def counted(g):
+        def counted(g, u, v):
             calls.append(g)
-            return census(g)
-        monkeypatch.setattr(oracle, "rank_nullity_census", counted)
+            return sweep(g, u, v)
+        monkeypatch.setattr(oracle, "_sweep", counted)
         assert all(gate.passed for gate in checks.run_oracle_gates(2))
         assert len(calls) == 3 * 3  # three families, generations 0 to 2
+        for family in LatticeFamily:
+            calls.clear()
+            oracle.count_spanning_trees_bruteforce(build_lattice(family, 2))
+            assert len(calls) == 1
 
     def test_n_max_above_oracle_cap_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import starmap
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,8 +25,10 @@ from fractal_tutte.invariants import (
     strong_orientation_indegree_sequences,
     tutte_arguments,
 )
-from fractal_tutte.lattices import LatticeFamily, Multigraph, build_lattice, lattice_counts
-from fractal_tutte.oracle import _graph_rank, tutte_subgraph_expansion
+from fractal_tutte.lattices import (
+    LatticeFamily, Multigraph, build_lattice, lattice_counts, union_find,
+)
+from fractal_tutte.oracle import tutte_subgraph_expansion
 from fractal_tutte.recursion import tutte_eval, tutte_symbolic
 
 from helpers import random_multigraph
@@ -252,7 +255,7 @@ class TestPottsViaTutte:
         for _ in range(50):
             g = random_multigraph(rng)
             t = tutte_subgraph_expansion(g)
-            components = g.vertex_count - _graph_rank(g)
+            components = g.vertex_count - sum(starmap(union_find(g.vertex_count), g.edges))
             for q, v in combos:
                 params = PottsParams(q, v)
                 direct = potts_direct(g, params)

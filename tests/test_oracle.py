@@ -23,7 +23,7 @@ from fractal_tutte.oracle import (
     tutte_subgraph_expansion,
 )
 
-from helpers import random_connected_multigraph, random_multigraph
+from helpers import listed_census, random_connected_multigraph, random_multigraph
 
 X = BiPoly.x()
 Y = BiPoly.y()
@@ -161,7 +161,7 @@ class TestSpanningTreeCounts:
 
 class TestCensusSweep:
     """The census sweeps the edges in their given order; its result must
-    not depend on that order."""
+    not depend on that order, and must match a listing of every subset."""
 
     def test_shuffled_lattice_edges_give_the_same_census(self):
         rng = random.Random(20261018)
@@ -172,6 +172,20 @@ class TestCensusSweep:
                 rng.shuffle(edges)
                 shuffled = Multigraph(g.vertex_count, tuple(edges), g.special_x, g.special_y)
                 assert rank_nullity_census(shuffled) == rank_nullity_census(g)
+
+    def test_seeded_multigraphs_match_the_listed_subsets(self):
+        rng = random.Random(20261019)
+        for _ in range(100):
+            g = random_multigraph(rng, max_vertices=6, max_edges=10)
+            assert rank_nullity_census(g) == listed_census(g), g
+
+    @pytest.mark.parametrize("graph", [
+        Multigraph(4, ((0, 1), (2, 3)), 0, 2),  # specials in different components
+        Multigraph(4, ((0, 1), (1, 3), (0, 3)), 0, 1),  # vertex 2 isolated
+        LOOP,
+    ])
+    def test_named_graphs_match_the_listed_subsets(self, graph):
+        assert rank_nullity_census(graph) == listed_census(graph)
 
     def test_cycle_at_the_cap_with_even_edges_first(self):
         # Every other edge first makes all 24 vertices live at once, the

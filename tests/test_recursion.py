@@ -18,7 +18,7 @@ from fractal_tutte import oracle, recursion
 from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.checks import run_oracle_gates
 from fractal_tutte.errors import CapExceeded
-from fractal_tutte.invariants import PottsParams, potts_lattice
+from fractal_tutte.invariants import PottsParams, potts_lattice, spanning_tree_count
 from fractal_tutte.lattices import LatticeFamily, build_lattice
 from fractal_tutte.recursion import (
     TuttePair,
@@ -180,6 +180,30 @@ class TestAgainstOracles:
         for family, pair in symbolic_n3.items():
             joined, severed = oracle.split_tutte(build_lattice(family, 3))
             assert (joined, severed) == (pair.joined, (X - 1) * pair.cofactor), family
+
+    # (1, 5/7) lies on the line x = 1 and (-1/6, 1) on y = 1, where every
+    # subset with a factor u or v weighs 0; at (-1/6, 5/7) the common
+    # denominator only partly cancels.
+    @pytest.mark.parametrize("x,y", [
+        (Fraction(3, 7), Fraction(-5, 2)), (Fraction(2), Fraction(3)),
+        (Fraction(1), Fraction(5, 7)), (Fraction(-1, 6), Fraction(1)),
+        (Fraction(-1, 6), Fraction(5, 7)),
+    ])
+    def test_sweep_at_a_point_past_generation_two(self, monkeypatch, x, y):
+        # The sweep on exact rationals, every family at n=3 and the flowers
+        # at n=4 (256 edges), with the census cap lifted.
+        monkeypatch.setattr(oracle, "EXPANSION_EDGE_CAP", 256)
+        graphs = [(family, 3) for family in LatticeFamily]
+        graphs += [(LatticeFamily.FLOWER22, 4), (LatticeFamily.FLOWER13, 4)]
+        for family, n in graphs:
+            expected = tutte_eval(family, n, x, y)
+            assert sum(oracle._sweep(build_lattice(family, n), x - 1, y - 1)) == expected, family
+
+    def test_tree_count_at_generation_three(self, monkeypatch):
+        monkeypatch.setattr(oracle, "EXPANSION_EDGE_CAP", 100)
+        for family in LatticeFamily:
+            trees = oracle.count_spanning_trees_bruteforce(build_lattice(family, 3))
+            assert trees == spanning_tree_count(family, 3), family
 
 
 class TestPointwiseEvaluation:
