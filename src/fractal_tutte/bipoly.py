@@ -10,10 +10,11 @@ and evaluation is done in ``fractions.Fraction`` so every result is exact.
 
 Large dense products are done by Kronecker substitution: each operand is
 packed into one big number, with a fixed-size slot per exponent pair, and
-the two numbers are multiplied once.  Below ``_DECIMAL_MIN_BYTES`` bytes the
-slots are bytes of an int (Karatsuba); from there on they are digits of a
-``decimal.Decimal``, whose number-theoretic transform multiply is several
-times faster at millions of bits.  Decimal arithmetic runs only in
+the two numbers are multiplied once.  The slots are zero-padded digits of
+one string, in one of two radices: below ``_DECIMAL_MIN_BYTES`` bytes they
+are hex digits of an int (Karatsuba); from there on they are decimal digits
+of a ``decimal.Decimal``, whose number-theoretic transform multiply is
+several times faster at millions of bits.  Decimal arithmetic runs only in
 ``EXACT_CONTEXT``, never in the caller's thread-local context.
 """
 
@@ -21,8 +22,10 @@ from __future__ import annotations
 
 import decimal
 import json
+import operator
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, Iterable, Iterator, Tuple, Union
 
 Exponents = Tuple[int, int]
 Scalar = Union[int, "BiPoly"]
@@ -32,15 +35,17 @@ Scalar = Union[int, "BiPoly"]
 # products in the oracles, keep the schoolbook loop over term pairs.
 _PACKED_MIN_TERMS = 32
 
-# Packed products of at least this many bytes (in the byte-slot layout) use
-# decimal-digit slots and the Decimal multiply.  Measured on CPython 3.11
-# (README, "Polynomial product"): every product of the n <= 3 recursion (at
-# most 9,800 bytes) is faster on int slots; the n = 3 -> 4 step (24,650
-# bytes or more) is a near tie up to 37 KB and faster on decimal slots above.
+# Packed products of at least this many bytes (ceil(B/8) bytes for a slot of
+# B bits) use decimal-digit slots and the Decimal multiply.  Measured on
+# CPython 3.11 (README, "Polynomial product"): every product of the n <= 3
+# recursion (at most 12,384 bytes) is faster on int slots; the n = 3 -> 4 step
+# (24,650 bytes or more) is a near tie up to 37 KB and faster on decimal
+# slots above.
 _DECIMAL_MIN_BYTES = 16384
 
-# str() and int() of a decimal string are exact for up to this many digits
-# whatever sys.set_int_max_str_digits() allows; wider slots keep int packing.
+# Converting an int to or from a decimal string works for up to this many
+# digits whatever sys.set_int_max_str_digits() allows; wider slots keep the
+# int radix, whose hex digits have no limit.
 _DECIMAL_MAX_SLOT_DIGITS = 640
 
 # Every Decimal operation of the package runs in this context: integers of
@@ -50,36 +55,16 @@ EXACT_CONTEXT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                                        decimal.InvalidOperation])
 
 
-def _kronecker_pack(terms: Dict[Exponents, int], width: int, size: int) -> int:
-    """The int whose ``size``-byte slot ``i * width + j`` holds coefficient (i, j).
+def _pack(terms: Dict[Exponents, int], width: int, digits: int, radix: int,
+          parse: Callable, add: Callable) -> Union[int, decimal.Decimal]:
+    """The number whose ``digits``-digit slot ``i * width + j`` holds coefficient (i, j).
 
-    Negative coefficients go into a second buffer, made only when one
-    occurs, which is subtracted from the first.
+    The slots are base-``radix`` digits (16 or 10) of one string, highest
+    slot first, which ``parse`` reads.  Negative coefficients go into a
+    second string, made only when one occurs, which is parsed with a minus
+    sign and added to the first.
     """
-    length = (max(i * width + j for i, j in terms) + 1) * size
-    positive = bytearray(length)
-    negative = None
-    for (i, j), c in terms.items():
-        start = (i * width + j) * size
-        if c > 0:
-            positive[start:start + size] = c.to_bytes(size, "little")
-        else:
-            if negative is None:
-                negative = bytearray(length)
-            negative[start:start + size] = (-c).to_bytes(size, "little")
-    value = int.from_bytes(positive, "little")
-    if negative is not None:
-        value -= int.from_bytes(negative, "little")
-    return value
-
-
-def _decimal_pack(terms: Dict[Exponents, int], width: int, digits: int) -> decimal.Decimal:
-    """The Decimal whose ``digits``-digit slot ``i * width + j`` holds coefficient (i, j).
-
-    The Decimal is parsed from one string, highest slot first.  Negative
-    coefficients go into a second string, made only when one occurs, whose
-    Decimal is subtracted from the first.
-    """
+    spec = "x" if radix == 16 else "d"
     top = max(i * width + j for i, j in terms)
     zero = "0" * digits
     positive = [zero] * (top + 1)
@@ -87,14 +72,14 @@ def _decimal_pack(terms: Dict[Exponents, int], width: int, digits: int) -> decim
     for (i, j), c in terms.items():
         index = top - (i * width + j)
         if c > 0:
-            positive[index] = str(c).zfill(digits)
+            positive[index] = format(c, spec).zfill(digits)
         else:
             if negative is None:
                 negative = [zero] * (top + 1)
-            negative[index] = str(-c).zfill(digits)
-    value = EXACT_CONTEXT.create_decimal("".join(positive))
+            negative[index] = format(-c, spec).zfill(digits)
+    value = parse("".join(positive))
     if negative is not None:
-        value = EXACT_CONTEXT.subtract(value, EXACT_CONTEXT.create_decimal("".join(negative)))
+        value = add(value, parse("-" + "".join(negative)))
     return value
 
 
@@ -232,14 +217,15 @@ class BiPoly:
         One product (a square when both operands are the same object) then
         carries every coefficient.
 
-        The slots have one of two radices.  Below ``_DECIMAL_MIN_BYTES``
-        packed bytes they are bytes of an int, multiplied by CPython's
-        Karatsuba and read back low to high with a borrow.  From there on
-        they are decimal digits of a Decimal, multiplied by libmpdec's
-        number-theoretic transform; half the slot range is added to every
-        slot of the product, so one string of its digits splits into slots
-        with no borrow.  Other products use the schoolbook loop over term
-        pairs.  Every path gives the same polynomial.
+        The slots are zero-padded digits of one string, highest slot first,
+        in one of two radices.  Below ``_DECIMAL_MIN_BYTES`` packed bytes
+        they are hex digits of an int, multiplied by CPython's Karatsuba;
+        from there on they are decimal digits of a Decimal, multiplied by
+        libmpdec's number-theoretic transform.  Either way half the slot
+        range is added to every slot of the product, so the string of its
+        digits splits into slots with no borrow.  Other products use the
+        schoolbook loop over term pairs.  Every path gives the same
+        polynomial.
         """
         other = self._coerce(other)
         if other is NotImplemented:
@@ -267,38 +253,29 @@ class BiPoly:
             digits = coeff_bits * 30103 // 100000 + 1
             if slots * size >= _DECIMAL_MIN_BYTES and digits <= _DECIMAL_MAX_SLOT_DIGITS:
                 ctx = EXACT_CONTEXT
-                packed_a = _decimal_pack(a, width, digits)
-                packed_b = packed_a if a is b else _decimal_pack(b, width, digits)
-                product = ctx.multiply(packed_a, packed_b)
-                del packed_a, packed_b
-                half = 5 * 10 ** (digits - 1)
-                # A 1 above the top slot makes the string exactly
-                # 1 + slots * digits long, leading zeros included.
-                product = ctx.add(product, ctx.create_decimal("1" + str(half) * slots))
-                text = ctx.to_sci_string(product)
-                del product
-                for slot, end in enumerate(range(len(text), 1, -digits)):
-                    c = int(text[end - digits:end]) - half
-                    if c:
-                        data[divmod(slot, width)] = c
+                radix, parse, add, multiply, show = (
+                    10, ctx.create_decimal, ctx.add, ctx.multiply, ctx.to_sci_string)
             else:
-                packed_a = _kronecker_pack(a, width, size)
-                packed_b = packed_a if a is b else _kronecker_pack(b, width, size)
-                product = packed_a * packed_b
-                del packed_a, packed_b
-                octets = product.to_bytes(slots * size, "little", signed=True)
-                del product
-                half, full = 1 << (8 * size - 1), 1 << (8 * size)
-                borrow = 0
-                for slot, start in enumerate(range(0, slots * size, size)):
-                    c = int.from_bytes(octets[start:start + size], "little") + borrow
-                    if c >= half:
-                        c -= full
-                        borrow = 1
-                    else:
-                        borrow = 0
-                    if c:
-                        data[divmod(slot, width)] = c
+                radix, digits = 16, (coeff_bits + 3) // 4
+                parse, add, multiply, show = (
+                    partial(int, base=16), operator.add, operator.mul, "{:x}".format)
+            packed_a = _pack(a, width, digits, radix, parse, add)
+            packed_b = packed_a if a is b else _pack(b, width, digits, radix, parse, add)
+            product = multiply(packed_a, packed_b)
+            del packed_a, packed_b
+            # Half the slot range added to every slot puts each coefficient
+            # in [0, radix^digits), and a 1 above the top slot makes the
+            # string exactly 1 + slots * digits long, leading zeros included.
+            # A slot that reads as the bias alone holds a zero coefficient.
+            bias = str(radix // 2) + "0" * (digits - 1)
+            product = add(product, parse("1" + bias * slots))
+            text = show(product)
+            del product
+            half = int(bias, radix)
+            for slot, end in enumerate(range(len(text), 1, -digits)):
+                piece = text[end - digits:end]
+                if piece != bias:
+                    data[divmod(slot, width)] = int(piece, radix) - half
         else:
             for (ia, ja), ca in a.items():
                 for (ib, jb), cb in b.items():

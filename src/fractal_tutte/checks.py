@@ -32,8 +32,8 @@ def _gate(results: List[GateResult], name: str, passed: bool, detail: str = "") 
 
 def run_oracle_gates(n_max: int = ORACLE_GATE_CAP) -> List[GateResult]:
     """Recursion vs both oracles, and the split vs the census split."""
-    if n_max > ORACLE_GATE_CAP:
-        raise ValueError(f"oracle gates are limited to generation {ORACLE_GATE_CAP}")
+    if not 0 <= n_max <= ORACLE_GATE_CAP:
+        raise ValueError(f"oracle gates run generations 0 to {ORACLE_GATE_CAP}, not {n_max}")
     results: List[GateResult] = []
     x_minus_1 = BiPoly.x() - 1
     for family in LatticeFamily:

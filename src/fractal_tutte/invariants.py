@@ -17,7 +17,7 @@ from typing import Dict, Tuple, Union
 from .bipoly import BiPoly
 from .errors import CapExceeded, DomainError
 from .lattices import LatticeFamily, Multigraph, check_generation, lattice_counts
-from .recursion import SYMBOLIC_GENERATION_CAP, lowest_terms, tutte_eval
+from .recursion import EVAL_NUMERATOR_BITS_CAP, SYMBOLIC_GENERATION_CAP, lowest_terms, tutte_eval
 
 CLOSED_FORM_CAP = 10
 POTTS_STATE_CAP = 2 ** 24
@@ -76,8 +76,15 @@ def strong_orientation_indegree_sequences(n: int) -> int:
 
 
 def bicycle_space_dimension(n: int) -> int:
-    """Dimension of the bicycle space of the fractal lattice: (4^n - 1) / 3."""
+    """Dimension of the bicycle space of the fractal lattice: (4^n - 1) / 3.
+
+    The result has 2n - 1 bits for n >= 1, and is refused past
+    ``EVAL_NUMERATOR_BITS_CAP`` bits before 4^n is formed.
+    """
     check_generation(n)
+    if 2 * n - 1 > EVAL_NUMERATOR_BITS_CAP:
+        raise CapExceeded(f"bicycle dimension of {2 * n - 1} bits exceeds cap "
+                          f"{EVAL_NUMERATOR_BITS_CAP}")
     return _exact_div(4 ** n - 1, 3)
 
 

@@ -100,26 +100,27 @@ def schoolbook(a, b):
     return BiPoly(data)
 
 
-# The packer of each radix of the packed product.
-PACKERS = {"int": "_kronecker_pack", "decimal": "_decimal_pack"}
+# The radix of the packed product that each base given to bipoly._pack stands for.
+RADIX_OF_BASE = {16: "int", 10: "decimal"}
 
 
 @contextlib.contextmanager
-def packed_operands(radix="int"):
-    """Collect the slot size of every operand packed inside the block, with
-    every packed product put on the given radix."""
-    sizes = []
-    name = PACKERS[radix]
-    original = getattr(bipoly, name)
+def packed_operands(radix=None):
+    """Collect the radix ("int" or "decimal") of every operand packed inside
+    the block; given a radix, every packed product is put on it."""
+    radices = []
+    original = bipoly._pack
 
-    def spy(terms, width, size):
-        sizes.append(size)
-        return original(terms, width, size)
+    def spy(terms, width, digits, base, parse, add):
+        radices.append(RADIX_OF_BASE[base])
+        return original(terms, width, digits, base, parse, add)
 
-    threshold = 0 if radix == "decimal" else sys.maxsize
-    with mock.patch.object(bipoly, name, spy), \
-            mock.patch.object(bipoly, "_DECIMAL_MIN_BYTES", threshold):
-        yield sizes
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(bipoly, "_pack", spy))
+        if radix is not None:
+            threshold = 0 if radix == "decimal" else sys.maxsize
+            stack.enter_context(mock.patch.object(bipoly, "_DECIMAL_MIN_BYTES", threshold))
+        yield radices
 
 
 # Exponent boxes (max x-exponent, max y-exponent) of at most 42 pairs:
@@ -147,7 +148,7 @@ def dense_operands(draw, boxes=BOXES):
     return tuple(operands)
 
 
-@pytest.mark.parametrize("radix", sorted(PACKERS))
+@pytest.mark.parametrize("radix", sorted(RADIX_OF_BASE.values()))
 class TestPackedProduct:
     """Large dense products are packed, on either radix, and agree with the
     schoolbook product."""
@@ -156,9 +157,9 @@ class TestPackedProduct:
     @given(dense_operands())
     def test_matches_schoolbook(self, radix, pair):
         a, b = pair
-        with packed_operands(radix) as sizes:
+        with packed_operands(radix) as radices:
             product = a * b
-        assert len(sizes) == 2
+        assert radices == [radix] * 2
         assert product == schoolbook(a, b)
         assert all(c != 0 for c in product.terms().values())
 
@@ -166,9 +167,9 @@ class TestPackedProduct:
     @given(dense_operands())
     def test_square_of_same_object(self, radix, pair):
         a = pair[0]
-        with packed_operands(radix) as sizes:
+        with packed_operands(radix) as radices:
             square = a * a
-        assert len(sizes) == 1
+        assert radices == [radix]
         assert square == schoolbook(a, a)
         assert square == a * BiPoly(a.terms())
 
@@ -181,9 +182,9 @@ class TestPackedProduct:
         shifted = (X - 1) * h
         assume(len(shifted) > _PACKED_MIN_TERMS)
         geometric = BiPoly({(i, 0): 1 for i in range(length)})
-        with packed_operands(radix) as sizes:
+        with packed_operands(radix) as radices:
             product = geometric * shifted
-        assert sizes
+        assert radices and set(radices) == {radix}
         assert product == BiPoly({(length, 0): 1, (0, 0): -1}) * h
         assert all(c != 0 for c in product.terms().values())
 
@@ -193,17 +194,17 @@ class TestPackedProduct:
         a = pair[0]
         assert a * ZERO == ZERO
         assert ZERO * a == ZERO
-        with packed_operands(radix) as sizes:
+        with packed_operands(radix) as radices:
             assert a * a + a * (-a) == ZERO
-        assert sizes
+        assert radices and set(radices) == {radix}
 
     @settings(max_examples=10, deadline=None)
     @given(dense_operands())
     def test_power(self, radix, pair):
         a = pair[0]
-        with packed_operands(radix) as sizes:
+        with packed_operands(radix) as radices:
             cube = a ** 3
-        assert sizes
+        assert radices and set(radices) == {radix}
         assert cube == schoolbook(a, schoolbook(a, a))
 
     @pytest.mark.parametrize("bits", range(1, 26))
@@ -216,28 +217,28 @@ class TestPackedProduct:
         top = (1 << bits) - 1
         a = BiPoly({(i, 0): top for i in range(40)})
         b = BiPoly({(i, 0): -top for i in range(45)})
-        with packed_operands(radix) as sizes:
+        with packed_operands(radix) as radices:
             assert a * b == schoolbook(a, b)
             assert b * b == schoolbook(b, b)
-        assert len(sizes) == 3
+        assert radices == [radix] * 3
 
     def test_coefficients_above_2_to_the_1000(self, radix):
         # Wide slots pay off only with many terms: 600 and 700 terms, one
         # operand with mixed signs.
         a = BiPoly({(i, 0): (-1) ** i * (2 ** 1030 - 3 ** i) for i in range(600)})
         b = BiPoly({(i, 0): 5 ** 440 - 7 * i for i in range(700)})
-        with packed_operands(radix) as sizes:
+        with packed_operands(radix) as radices:
             product = a * b
-        assert len(sizes) == 2
+        assert radices == [radix] * 2
         assert product == schoolbook(a, b)
 
     def test_sparse_operands_keep_the_schoolbook_loop(self, radix):
         # Forty terms spread over exponents up to 4 * 10^7: packing would need
         # petabytes of mostly empty slots.
         a = BiPoly({(10 ** 6 * i, 10 ** 6 * i): i + 1 for i in range(40)})
-        with packed_operands(radix) as sizes:
+        with packed_operands(radix) as radices:
             square = a * a
-        assert not sizes
+        assert not radices
         assert square == schoolbook(a, a)
 
 
@@ -256,13 +257,43 @@ class TestDecimalRadix:
 
     def test_large_dense_product_takes_the_decimal_path(self):
         a, b = self.dense_60_bit_pair()
-        spied = mock.patch.object(bipoly, "_decimal_pack", wraps=bipoly._decimal_pack)
-        with spied as spy:
+        with packed_operands() as radices:
             product = a * b
-        assert spy.call_count == 2
-        with packed_operands("int") as sizes:
+        assert radices == ["decimal"] * 2
+        with packed_operands("int") as radices:
             assert product == a * b
-        assert len(sizes) == 2
+        assert radices == ["int"] * 2
+
+    @staticmethod
+    def packed_bytes(a, b):
+        """Bytes of the packed product of a and b, as the dispatch counts them."""
+        small = min(len(a), len(b))
+        coeff_bits = (max(map(int.bit_length, a.terms().values()))
+                      + max(map(int.bit_length, b.terms().values()))
+                      + small.bit_length() + 1)
+        slots = (a.deg_x + b.deg_x + 1) * (a.deg_y + b.deg_y + 1)
+        return slots * ((coeff_bits + 7) // 8)
+
+    @pytest.mark.parametrize("lengths, bits, size, radix", [
+        # 32 terms or fewer keep the schoolbook loop; 33 x 33 is the smallest
+        # packed product.
+        ((32, 33), (1, 1), 128, None),
+        ((33, 33), (1, 1), 130, "int"),
+        # 381 slots of 43 bytes: one byte below the threshold.
+        ((190, 192), (167, 168), 16383, "int"),
+        # 256 slots of 64 bytes: exactly at the threshold.
+        ((128, 129), (251, 251), 16384, "decimal"),
+    ])
+    def test_radix_at_the_boundaries(self, lengths, bits, size, radix):
+        # Every coefficient at its largest for its bit length, with mixed
+        # signs in the second operand.
+        a = BiPoly({(i, 0): (1 << bits[0]) - 1 for i in range(lengths[0])})
+        b = BiPoly({(i, 0): (-1) ** i * ((1 << bits[1]) - 1) for i in range(lengths[1])})
+        assert self.packed_bytes(a, b) == size
+        with packed_operands() as radices:
+            product = a * b
+        assert radices == ([radix] * 2 if radix else [])
+        assert product == schoolbook(a, b)
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="interpreter has no digit limit")
@@ -275,11 +306,11 @@ class TestDecimalRadix:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            with packed_operands("decimal") as sizes:
+            with packed_operands("decimal") as radices:
                 square = a * a
         finally:
             sys.set_int_max_str_digits(limit)
-        assert not sizes
+        assert radices == ["int"]
         assert square == expected
 
     def test_caller_context_is_untouched(self):
@@ -291,11 +322,11 @@ class TestDecimalRadix:
         with decimal.localcontext() as caller:
             caller.prec = 6
             before = context_settings(caller)
-            with packed_operands("decimal") as sizes:
+            with packed_operands("decimal") as radices:
                 product = a * b
             assert decimal.getcontext() is caller
             assert context_settings(caller) == before
-        assert sizes
+        assert radices == ["decimal"] * 2
         assert product == expected
 
 

@@ -176,6 +176,17 @@ class TestInvariant:
         assert code == 0
         assert json.loads(out)["value"] == "5"
 
+    def test_bicycle_dimension_past_the_bits_cap_exits_3_at_once(self, capsys):
+        # 2^23 + 1 is the first generation whose dimension has more than 2^24 bits.
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "invariant", "--family", "fractal", "--n", str(2 ** 23 + 1),
+            "--quantity", "bicycle-dimension",
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == 3
+        assert out == "" and "cap" in err
+
     def test_unknown_quantity_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["invariant", "--family", "fractal", "--n", "1",
@@ -402,6 +413,14 @@ class TestVerify:
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--n-max", "3"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("n_max", [-1, checks.ORACLE_GATE_CAP + 1])
+    def test_oracle_gates_outside_their_range_raise(self, n_max):
+        # A negative n_max would otherwise run no oracle gate at all.
+        with pytest.raises(ValueError):
+            checks.run_oracle_gates(n_max)
+        with pytest.raises(ValueError):
+            checks.run_gates(n_max)
 
     def test_detects_a_mutated_step_rule(self, capsys, monkeypatch):
         original = recursion._QUARTIC_FORMS[LatticeFamily.FRACTAL]

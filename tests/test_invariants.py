@@ -29,7 +29,7 @@ from fractal_tutte.lattices import (
     LatticeFamily, Multigraph, build_lattice, lattice_counts, union_find,
 )
 from fractal_tutte.oracle import tutte_subgraph_expansion
-from fractal_tutte.recursion import tutte_eval, tutte_symbolic
+from fractal_tutte.recursion import EVAL_NUMERATOR_BITS_CAP, tutte_eval, tutte_symbolic
 
 from helpers import random_multigraph
 
@@ -99,6 +99,13 @@ class TestBicycleDimension:
 
     def test_no_generation_cap(self):
         assert bicycle_space_dimension(12) == (4 ** 12 - 1) // 3
+
+    def test_result_past_the_bits_cap_is_refused(self):
+        # (4^n - 1) / 3 has 2n - 1 bits: n = 2^23 is the last generation
+        # within the cap.
+        assert bicycle_space_dimension(2 ** 23).bit_length() == EVAL_NUMERATOR_BITS_CAP - 1
+        with pytest.raises(CapExceeded):
+            bicycle_space_dimension(2 ** 23 + 1)
 
     def test_negative_generation(self):
         with pytest.raises(ValueError):
