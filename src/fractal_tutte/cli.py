@@ -13,12 +13,13 @@ import decimal
 import json
 import sys
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Union
+from itertools import chain
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Union
 
 from . import checks, invariants, oracle, recursion
 from .bipoly import EXACT_CONTEXT
 from .errors import CapExceeded, DomainError
-from .lattices import LatticeFamily, build_lattice, to_edge_list
+from .lattices import LatticeFamily, build_lattice, edge_chunks, edge_list_chunks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -159,19 +160,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_gen(args) -> str:
+def _cmd_gen(args) -> Iterator[str]:
+    """The lattice in pieces, so that no copy of the whole text is held."""
     g = build_lattice(args.family, args.n)
     if args.format == "text":
-        return to_edge_list(g)
+        return edge_list_chunks(g)
     record = {
         "family": args.family.value,
         "n": args.n,
         "vertices": g.vertex_count,
         "special_x": g.special_x,
         "special_y": g.special_y,
-        "edges": [[u, v] for u, v in g.edges],
+        "edges": [],
     }
-    return _dumps(record)
+    # The record ends with '"edges":[]}\n'; the edge chunks go inside the
+    # brackets, each edge led by a comma that the first one drops.
+    head = _dumps(record)[:-3]
+    chunks = edge_chunks(g, ",[%d,%d]")
+    return chain([head, next(chunks, ",")[1:]], chunks, ["]}\n"])
 
 
 def _cmd_tutte(args) -> str:
@@ -266,12 +272,14 @@ def _cmd_verify(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
-def _write(text: str, out: Optional[str]) -> None:
+def _write(output: Union[str, Iterable[str]], out: Optional[str]) -> None:
+    """Write a result, given whole or as an iterable of pieces."""
+    pieces = [output] if isinstance(output, str) else output
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -292,9 +300,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         if args.command == "verify":
-            text, code = _cmd_verify(args)
+            output, code = _cmd_verify(args)
         else:
-            text, code = handlers[args.command](args), EXIT_OK
+            output, code = handlers[args.command](args), EXIT_OK
     except CapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -302,7 +310,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     try:
-        _write(text, args.out)
+        _write(output, args.out)
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE

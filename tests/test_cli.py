@@ -14,9 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from fractal_tutte import checks, invariants, oracle, recursion
+from fractal_tutte import checks, invariants, lattices, oracle, recursion
 from fractal_tutte.cli import _DECIMAL_PIECE_BITS, _decimal, main
-from fractal_tutte.lattices import LatticeFamily, build_lattice, lattice_counts
+from fractal_tutte.lattices import LatticeFamily, build_lattice, lattice_counts, to_edge_list
 from helpers import context_settings
 
 HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
@@ -50,6 +50,51 @@ class TestGen:
         assert record["vertices"] == 4
         assert len(record["edges"]) == 4
         assert {record["special_x"], record["special_y"]} == {0, 3}
+
+    # SHA-256 of `gen --format json` stdout, recorded from the build that
+    # formed the whole record with one json.dumps.
+    JSON_SHA256 = {
+        ("fractal", 0): "ee3d5067eb60a31581b9194ef3d37009f6b48d2ae0225cdd67af43f673addd7d",
+        ("fractal", 1): "d9bcbb0bf5f922734613ef2f4b582ee28eee0b2e66a1bdcc4a8e7b151911ec33",
+        ("fractal", 2): "3186a9a78c1d4ced076fd68e0c227f8e1084df60d6521426af29dba8a1c78e90",
+        ("fractal", 3): "6960b1ea174a22173feb9212793e1fa811c08096879b5c879f28807ac8f1302e",
+        ("flower22", 0): "84f5d8cecec1715b6d18561b351f0c1dd71e611ad03274f0b22283eecb234b49",
+        ("flower22", 1): "f789d9a742eb677b696afded25b1f73afde73379ebac0a7d65279b8ac183669d",
+        ("flower22", 2): "09c0c69593087a12b3ae83e0080f983b35bd05c760a551611dc94b11c1a03eb6",
+        ("flower22", 3): "77e1aaad8c3ebfcf631db6148c863688e694746688030618df21bf35769cd147",
+        ("flower13", 0): "3c0479cea469ee5160b15c589995802ec11cdc3bba0b4ec6ff07002e877a2864",
+        ("flower13", 1): "f2b5967b6694aa9251beac9e01b3b6981aa7bd724bc068d549ebfb212bed68d1",
+        ("flower13", 2): "9eaf2527dd45cf7b85888d9c6f2dda3d949d0eff778f46c5036020becfa434be",
+        ("flower13", 3): "fb9c8efffc28fe6f4b1f7b58eeb14863a70307529e9c7cd8b017b7ac41438ca3",
+    }
+
+    @pytest.mark.parametrize("family", ("fractal", "flower22", "flower13"))
+    @pytest.mark.parametrize("n", range(4))
+    def test_json_output_is_frozen(self, capsys, family, n):
+        _, out, _ = run(capsys, "gen", "--family", family, "--n", str(n), "--format", "json")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.JSON_SHA256[family, n]
+
+    @pytest.mark.parametrize("chunk_edges", (1, 2, 1 << 15))
+    def test_streamed_output_matches_whole_records(self, capsys, monkeypatch, chunk_edges):
+        # The edges are written in chunks; every chunk boundary must leave
+        # the bytes of one json.dumps record and of to_edge_list.
+        monkeypatch.setattr(lattices, "_CHUNK_EDGES", chunk_edges)
+        g = build_lattice(LatticeFamily.FRACTAL, 2)
+        _, text, _ = run(capsys, "gen", "--family", "fractal", "--n", "2")
+        _, record, _ = run(capsys, "gen", "--family", "fractal", "--n", "2", "--format", "json")
+        assert text == to_edge_list(g)
+        assert record == json.dumps({
+            "family": "fractal", "n": 2, "vertices": g.vertex_count,
+            "special_x": g.special_x, "special_y": g.special_y,
+            "edges": [list(e) for e in g.edges]}, separators=(",", ":")) + "\n"
+
+    def test_out_file_matches_stdout_over_many_chunks(self, capsys, tmp_path):
+        target = tmp_path / "g8.json"
+        code, out, _ = run(capsys, "gen", "--family", "flower13", "--n", "8",
+                           "--format", "json", "--out", str(target))
+        assert code == 0 and out == ""
+        record = json.loads(target.read_text())
+        assert record["edges"] == [list(e) for e in build_lattice(LatticeFamily.FLOWER13, 8).edges]
 
 
 class TestTutte:

@@ -1,11 +1,14 @@
 """Lattice construction: structure, counts, determinism, edge-list format."""
 
 import hashlib
+import tracemalloc
 
 import pytest
 
+from fractal_tutte import lattices
 from fractal_tutte.errors import CapExceeded
 from fractal_tutte.lattices import (
+    Edges,
     LatticeFamily,
     Multigraph,
     build_lattice,
@@ -22,7 +25,7 @@ class TestGenerationZero:
     def test_single_edge(self, family):
         g = build_lattice(family, 0)
         assert g.vertex_count == 2
-        assert g.edges == ((0, 1),)
+        assert tuple(g.edges) == ((0, 1),)
         assert (g.special_x, g.special_y) == (0, 1)
 
 
@@ -94,17 +97,41 @@ class TestStructure:
             assert build_lattice(family, 3) == build_lattice(family, 3)
 
     # Recorded at commit a008d65, whose build merged the hubs with a
-    # union-find; the index rule must keep every label, edge and special pair.
-    EDGE_LIST_N8_SHA256 = {
-        LatticeFamily.FRACTAL: "e05c4188468b97dcb3d2efdce5aa5bb4300393b667bcfc679b9b86802e19c5cc",
-        LatticeFamily.FLOWER22: "931a6beb18060a548efcbd6b3c9cbc97496f990f2de3dd455407453521beb11d",
-        LatticeFamily.FLOWER13: "67a9ff9b4a34632b56e5d880463d39b9845c6969a13c817d60b06bf671ee39c0",
+    # union-find, and at n=10 from the build that kept one tuple per edge;
+    # the index rule and the column layout must keep every label, edge and
+    # special pair.
+    EDGE_LIST_SHA256 = {
+        (LatticeFamily.FRACTAL, 8): "e05c4188468b97dcb3d2efdce5aa5bb4300393b667bcfc679b9b86802e19c5cc",
+        (LatticeFamily.FLOWER22, 8): "931a6beb18060a548efcbd6b3c9cbc97496f990f2de3dd455407453521beb11d",
+        (LatticeFamily.FLOWER13, 8): "67a9ff9b4a34632b56e5d880463d39b9845c6969a13c817d60b06bf671ee39c0",
+        (LatticeFamily.FRACTAL, 10): "299c8179e0b9a80a2d5b1dbebca163a395d681e1c8f19715110c6f34da1f1a2d",
+        (LatticeFamily.FLOWER22, 10): "3f7a80c2fdaeea8b4cda0c997bf22a0a6c41197cdb4d52a1f2a1ce5a241ade19",
+        (LatticeFamily.FLOWER13, 10): "a483cf0f1ac63a77e0cb799a58e1f621e979fd50e10a424b7d8828fc2612353e",
     }
 
+    @pytest.mark.parametrize("n", (8, 10))
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_generation_eight_edge_list_digest(self, family):
-        text = to_edge_list(build_lattice(family, 8))
-        assert hashlib.sha256(text.encode()).hexdigest() == self.EDGE_LIST_N8_SHA256[family]
+    def test_edge_list_digest(self, family, n):
+        text = to_edge_list(build_lattice(family, n))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.EDGE_LIST_SHA256[family, n]
+
+
+class TestMemory:
+    # Peak bytes traced per edge while building fractal n=8 and writing its
+    # edge list.  The columns and chunked text measure about 59; a tuple per
+    # edge and a string per line measured about 178.
+    BYTES_PER_EDGE_BOUND = 80
+
+    def test_build_and_edge_list_peak_per_edge(self):
+        tracemalloc.start()
+        try:
+            g = build_lattice(LatticeFamily.FRACTAL, 8)
+            text = to_edge_list(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.endswith("\n")
+        assert peak / g.edge_count < self.BYTES_PER_EDGE_BOUND
 
 
 class TestCaps:
@@ -128,17 +155,69 @@ class TestMultigraphValidation:
         with pytest.raises(ValueError):
             Multigraph(2, ((0, 1),), 0, 5)
 
+    def test_negative_endpoint(self):
+        with pytest.raises(ValueError, match=r"edge \(1, -1\) out of range"):
+            Multigraph(3, ((0, 1), (1, -1), (1, 2)), 0, 1)
+
+    def test_endpoint_equal_to_vertex_count(self):
+        with pytest.raises(ValueError, match=r"edge \(3, 0\) out of range"):
+            Multigraph(3, ((0, 1), (3, 0)), 0, 1)
+        with pytest.raises(ValueError):
+            Multigraph(3, Edges([0, 1], [2, 3]), 0, 1)
+
+    def test_edgeless_graph_is_accepted(self):
+        g = Multigraph(2, (), 0, 1)
+        assert g.edge_count == 0 and g.edges == Edges([], [])
+
+    def test_columns_must_have_equal_length(self):
+        with pytest.raises(ValueError):
+            Edges([0, 1], [1])
+
     def test_specials_must_differ_on_two_or_more_vertices(self):
         with pytest.raises(ValueError):
             Multigraph(2, ((0, 1),), 1, 1)
         Multigraph(1, ((0, 0),), 0, 0)  # single vertex may self-pair
 
 
+class TestEdges:
+    def test_sequence_of_pairs(self):
+        edges = Multigraph(3, [(0, 1), (1, 1), (1, 2)], 0, 2).edges
+        assert len(edges) == 3
+        assert list(edges) == [(0, 1), (1, 1), (1, 2)]
+        assert edges[1] == (1, 1) and edges[-1] == (1, 2)
+        assert edges[:-1] == Edges([0, 1], [1, 1])
+        assert list(reversed(edges)) == [(1, 2), (1, 1), (0, 1)]
+        assert (1, 2) in edges and (2, 1) not in edges
+        assert edges.count((1, 1)) == 1 and edges.index((1, 2)) == 2
+
+    def test_value_equality_and_hash(self):
+        a = Multigraph(3, ((0, 1), (1, 2)), 0, 2)
+        b = Multigraph(3, Edges([0, 1], [1, 2]), 0, 2)
+        assert a == b and hash(a) == hash(b)
+        assert a != Multigraph(3, ((0, 1), (0, 2)), 0, 2)
+        assert a.edges != ((0, 1), (1, 2))  # a column pair is not a tuple
+
+    def test_a_slice_builds_a_graph(self):
+        g = build_lattice(LatticeFamily.FLOWER13, 3)
+        smaller = Multigraph(g.vertex_count, g.edges[:-1], g.special_x, g.special_y)
+        assert list(smaller.edges) == list(g.edges)[:-1]
+
+
 class TestEdgeListFormat:
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_roundtrip(self, family):
-        g = build_lattice(family, 2)
+    @pytest.mark.parametrize("n", range(6))
+    def test_roundtrip(self, family, n):
+        g = build_lattice(family, n)
         assert from_edge_list(to_edge_list(g)) == g
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_chunks_join_to_one_line_per_edge(self, family, monkeypatch):
+        g = build_lattice(family, 3)
+        expected = "".join([f"p {g.vertex_count} {g.edge_count} {g.special_x} {g.special_y}\n",
+                            *(f"e {u} {v}\n" for u, v in g.edges)])
+        for chunk_edges in (1, 7, g.edge_count, 1 << 15):
+            monkeypatch.setattr(lattices, "_CHUNK_EDGES", chunk_edges)
+            assert to_edge_list(g) == expected
 
     def test_terminated_by_newline(self):
         assert to_edge_list(build_lattice(LatticeFamily.FRACTAL, 0)).endswith("\n")
