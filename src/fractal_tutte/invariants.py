@@ -1,10 +1,10 @@
 """Closed-form invariants of the lattice families and Potts specializations.
 
-Everything here is exact until the final step: spanning-tree counts and
-orientation counts are arbitrary-precision integers, Potts partition values
-are rationals, and only the thermodynamic growth constants pass through
-floating point, always via logarithms of the closed forms rather than by
-taking the float of an astronomically large integer.
+Spanning-tree and orientation counts are arbitrary-precision integers and
+Potts partition values rationals, each refused before it is formed if its
+predicted size passes the recursion's one bit cap; a closed form predicts its
+size from its {base: exponent} product.  Only the growth constants pass
+through floating point, via logarithms of the closed forms.
 """
 
 from __future__ import annotations
@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple, Union
+from itertools import product
+from typing import Collection, Dict, Iterable, Tuple, Union
 
 from .bipoly import BiPoly
 from .errors import CapExceeded, DomainError
 from .lattices import LatticeFamily, Multigraph, check_generation, lattice_counts
-from .recursion import EVAL_NUMERATOR_BITS_CAP, SYMBOLIC_GENERATION_CAP, lowest_terms, tutte_eval
+from .recursion import SYMBOLIC_GENERATION_CAP, _check_size, _four_sum, lowest_terms, tutte_eval
 
-CLOSED_FORM_CAP = 10
 POTTS_STATE_CAP = 2 ** 24
 
 RationalLike = Union[int, Fraction]
@@ -32,79 +32,72 @@ def _exact_div(numerator: int, denominator: int) -> int:
     return quotient
 
 
+def _product_bits(factors: Iterable[Tuple[RationalLike, int]]) -> int:
+    """Predicted bits of the product: each exponent times ceil(log2) of its base's |num| and den."""
+    return sum(e * ((abs(b.numerator) - 1).bit_length() + (b.denominator - 1).bit_length())
+               for b, e in factors)
+
+
+def _product(what: str, factors: Collection[Tuple[RationalLike, int]]) -> RationalLike:
+    """The product of base ** exponent, refused by the size rule before it is formed."""
+    _check_size(what, _product_bits(factors))
+    return math.prod(base ** exponent for base, exponent in factors)
+
+
 def _tree_count_exponents(family: LatticeFamily, n: int) -> Dict[int, int]:
-    """The spanning-tree count of generation n as {base: exponent}."""
-    power = 4 ** n
+    """The spanning-tree count of generation n as {base: exponent}, with g = (4^n - 1) / 3."""
+    g = _four_sum(n)
     if family is LatticeFamily.FRACTAL:
-        return {2: power - 1}
+        return {2: 3 * g}
     if family is LatticeFamily.FLOWER22:
-        return {2: _exact_div(2 * (power - 1), 3)}
-    return {3: _exact_div(power - 3 * n - 1, 9), 4: _exact_div(2 * power + 3 * n - 2, 9)}
+        return {2: 2 * g}
+    return {3: _exact_div(g - n, 3), 4: _exact_div(2 * g + n, 3)}
 
 
 def spanning_tree_count(family: LatticeFamily, n: int) -> int:
     """Number of spanning trees of generation n, in closed form."""
-    check_generation(n, CLOSED_FORM_CAP)
-    count = 1
-    for base, exponent in _tree_count_exponents(family, n).items():
-        count *= base ** exponent
-    return count
+    return _product("spanning-tree count", _tree_count_exponents(family, n).items())
 
 
 def acyclic_root_connected_orientations(n: int) -> int:
-    """Acyclic orientations of the fractal lattice with a unique fixed sink.
-
-    Closed form: product over i of (i + 1) raised to 2 * 4^(n - i).
-    """
-    check_generation(n, CLOSED_FORM_CAP)
-    total = 1
-    for i in range(n + 1):
-        total *= (i + 1) ** (2 * 4 ** (n - i))
-    return total
+    """Acyclic orientations of the fractal lattice with a unique fixed sink:
+    the product over i of (i + 1) ** (2 * 4^(n - i))."""
+    power = 3 * _four_sum(n) + 1  # 4^n
+    # The i = 1 factor alone has 4^n / 2 bits; past the cap, no n exponents are made.
+    _check_size("acyclic orientation count", power // 2)
+    return _product("acyclic orientation count",
+                    [(i + 1, 2 * (power >> 2 * i)) for i in range(n + 1)])
 
 
 def strong_orientation_indegree_sequences(n: int) -> int:
-    """Indegree-sequence count over strong orientations of the fractal lattice.
-
-    Half of n times the sink-rooted acyclic count; defined for n >= 1.
-    """
-    check_generation(n, CLOSED_FORM_CAP)
+    """Indegree-sequence count over strong orientations of the fractal lattice:
+    half of n times the sink-rooted acyclic count, defined for n >= 1."""
     if n < 1:
         raise DomainError("indegree-sequence count is defined for generations >= 1")
-    doubled = n * acyclic_root_connected_orientations(n)
-    return _exact_div(doubled, 2)
+    return _exact_div(n * acyclic_root_connected_orientations(n), 2)
 
 
 def bicycle_space_dimension(n: int) -> int:
-    """Dimension of the bicycle space of the fractal lattice: (4^n - 1) / 3.
+    """Dimension of the bicycle space of the fractal lattice: (4^n - 1) / 3,
+    of 2n - 1 bits, refused by the size rule before 4^n is formed."""
+    return _four_sum(n)
 
-    The result has 2n - 1 bits for n >= 1, and is refused past
-    ``EVAL_NUMERATOR_BITS_CAP`` bits before 4^n is formed.
-    """
-    check_generation(n)
-    if 2 * n - 1 > EVAL_NUMERATOR_BITS_CAP:
-        raise CapExceeded(f"bicycle dimension of {2 * n - 1} bits exceeds cap "
-                          f"{EVAL_NUMERATOR_BITS_CAP}")
-    return _exact_div(4 ** n - 1, 3)
+
+def _diagonal(n: int, x: Union[BiPoly, Fraction]) -> tuple:
+    """The diagonal T(x, x) of the fractal lattice, x * (x^2 + 5x + 2) **
+    ((4^n - 1) / 3), as (base, exponent) factors over BiPoly or Fraction."""
+    return (x, 1), (x * x + 5 * x + 2, bicycle_space_dimension(n))
 
 
 def diagonal_closed_form(n: int) -> BiPoly:
-    """The diagonal T(x, x) of the fractal lattice as a closed-form power.
-
-    Equals x * (x^2 + 5x + 2) ** ((4^n - 1) / 3), kept as a polynomial in x.
-    """
+    """The fractal diagonal T(x, x), in closed form (see _diagonal), as a polynomial in x."""
     check_generation(n, SYMBOLIC_GENERATION_CAP)
-    base = BiPoly({(2, 0): 1, (1, 0): 5, (0, 0): 2})
-    exponent = _exact_div(4 ** n - 1, 3)
-    return BiPoly.x() * base ** exponent
+    return math.prod(base ** exponent for base, exponent in _diagonal(n, BiPoly.x()))
 
 
 def diagonal_closed_value(n: int, x: RationalLike) -> Fraction:
     """The diagonal closed form evaluated exactly at a rational point."""
-    check_generation(n, CLOSED_FORM_CAP)
-    x = Fraction(x)
-    exponent = _exact_div(4 ** n - 1, 3)
-    return x * (x * x + 5 * x + 2) ** exponent
+    return _product("diagonal value", _diagonal(n, Fraction(x)))
 
 
 # -- asymptotic growth ------------------------------------------------------
@@ -141,8 +134,8 @@ def growth_constant(family: LatticeFamily, n_max: int) -> GrowthConstant:
     """Growth limit plus the finite-generation sequence approaching it."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if n_max > CLOSED_FORM_CAP:
-        raise CapExceeded(f"n_max {n_max} exceeds closed-form cap {CLOSED_FORM_CAP}")
+    # n_max is bounded by the size rule that spanning_tree_count(family, n_max) follows.
+    _check_size("spanning-tree count", _product_bits(_tree_count_exponents(family, n_max).items()))
     exact_form, decimal = _GROWTH_LIMITS[family]
     sequence = []
     for n in range(1, n_max + 1):
@@ -190,27 +183,21 @@ def potts_direct(g: Multigraph, params: PottsParams) -> Fraction:
     """Partition function by summing over every q-coloring directly.
 
     Each edge whose endpoints share a color contributes a factor (1 + v);
-    loops always do.  Requires a positive integer q and guards the number
-    of colorings.
+    loops always do.  Requires a positive integer q and guards the
+    colorings times the edges each one visits.
     """
     if params.q.denominator != 1 or params.q < 1:
         raise DomainError("direct Potts enumeration needs a positive integer q")
     q = int(params.q)
-    states = q ** g.vertex_count
-    if states > POTTS_STATE_CAP:
-        raise CapExceeded(f"{states} colorings exceed enumeration cap {POTTS_STATE_CAP}")
+    work = q ** g.vertex_count * max(g.edge_count, 1)
+    if work > POTTS_STATE_CAP:
+        raise CapExceeded(f"{work} coloring-edge visits exceed enumeration cap {POTTS_STATE_CAP}")
     weight = [Fraction(1)]
     for _ in range(g.edge_count):
         weight.append(weight[-1] * (1 + params.v))
     total = Fraction(0)
-    from itertools import product
-
     for coloring in product(range(q), repeat=g.vertex_count):
-        same = 0
-        for u, v in g.edges:
-            if coloring[u] == coloring[v]:
-                same += 1
-        total += weight[same]
+        total += weight[sum(coloring[u] == coloring[v] for u, v in g.edges)]
     return total
 
 
@@ -222,8 +209,8 @@ def potts_lattice(family: LatticeFamily, n: int, params: PottsParams) -> Fractio
     is the common denominator of the Tutte-plane point.
     """
     x, y = tutte_arguments(params)
-    vertices, _ = lattice_counts(family, n)
     value = tutte_eval(family, n, x, y)
+    vertices, _ = lattice_counts(family, n)
     q, v = params.q, params.v
     base = q.denominator * v.denominator * math.lcm(x.denominator, y.denominator)
     return lowest_terms(q.numerator * v.numerator ** (vertices - 1) * value.numerator,

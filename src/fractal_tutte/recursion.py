@@ -22,10 +22,25 @@ from .errors import CapExceeded
 from .lattices import LatticeFamily, check_generation
 
 SYMBOLIC_GENERATION_CAP = 4
-EVAL_GENERATION_CAP = 10
 EVAL_NUMERATOR_BITS_CAP = 1 << 24
 
 Ring = Union[BiPoly, int]
+
+
+def _check_size(what: str, bits: int) -> None:
+    """The one cap on exact values: refuse one predicted past EVAL_NUMERATOR_BITS_CAP bits."""
+    if bits > EVAL_NUMERATOR_BITS_CAP:
+        # A prediction can itself have 2^24 bits, far too many digits to print.
+        size = bits if bits < 1 << 64 else f"2^{math.log2(bits):.0f}"
+        raise CapExceeded(f"{what} of about {size} bits exceeds cap {EVAL_NUMERATOR_BITS_CAP}")
+
+
+def _four_sum(n: int) -> int:
+    """1 + 4 + ... + 4^(n - 1) = (4^n - 1) / 3, a lower bound on every other exact
+    value's predicted bits; refused by its own 2n - 1 bits before 4^n is formed."""
+    check_generation(n)
+    _check_size(f"(4^{n} - 1) / 3", 2 * n - 1)
+    return ((1 << 2 * n) - 1) // 3
 
 
 class TuttePair(NamedTuple):
@@ -154,13 +169,10 @@ def _eval_numerators(family: LatticeFamily, n: int, x: Union[int, Fraction],
     of the flowers they are about half of D^e, and left in they would make
     every later product twice as long.
     """
-    check_generation(n, EVAL_GENERATION_CAP)
     big_x, big_y, d = _homogeneous(Fraction(x), Fraction(y))
     # The numerators are homogeneous of degree e_n = 2 (4^n - 1) / 3 in (X, Y, D).
-    predicted = 2 * (4 ** n - 1) // 3 * max(abs(big_x), abs(big_y), d).bit_length()
-    if predicted > EVAL_NUMERATOR_BITS_CAP:
-        raise CapExceeded(f"evaluation numerators of about {predicted} bits exceed cap "
-                          f"{EVAL_NUMERATOR_BITS_CAP}")
+    _check_size("evaluation numerators",
+                2 * _four_sum(n) * max(abs(big_x), abs(big_y), d).bit_length())
     joined, cofactor, e = 1, 1, 0
     for _ in range(n):
         joined, cofactor = _rule(family, joined, cofactor, big_x, big_y, d)

@@ -183,7 +183,7 @@ class TestEval:
 
     def test_generation_cap(self, capsys):
         code, _, err = run(
-            capsys, "eval", "--family", "fractal", "--n", "11", "--x", "1", "--y", "1"
+            capsys, "eval", "--family", "fractal", "--n", "13", "--x", "1", "--y", "1"
         )
         assert code == 3 and "resource cap" in err
 
@@ -194,6 +194,32 @@ class TestEval:
         )
         assert code == 3 and "resource cap" in err
         assert out == ""
+
+
+class TestSizeRule:
+    """Every exact value past the size rule exits 3 at once.  Past n = 2^23
+    the rule refuses before 4^n is formed; up to it, the predictions are
+    themselves numbers of up to 2^24 bits."""
+
+    # Each request ends with the flag that takes the generation.
+    REQUESTS = [
+        ("eval", "--family", "fractal", "--x", "1", "--y", "1", "--n"),
+        ("potts", "--family", "flower13", "--q", "3", "--v", "1", "--n"),
+        ("growth", "--family", "flower22", "--n-max"),
+        *(("invariant", "--family", family, "--quantity", "spanning-trees", "--n")
+          for family in ("fractal", "flower22", "flower13")),
+        ("invariant", "--family", "fractal", "--quantity", "acyclic-root-connected", "--n"),
+        ("invariant", "--family", "fractal", "--quantity", "indegree-sequences", "--n"),
+    ]
+
+    @pytest.mark.parametrize("n", ["13", str(2 ** 23), "1000000000"])
+    @pytest.mark.parametrize("argv", REQUESTS, ids=lambda argv: "-".join(argv[::2]))
+    def test_refused_at_once(self, capsys, argv, n):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, n)
+        assert time.perf_counter() - start < 0.5
+        assert code == 3
+        assert out == "" and "resource cap" in err
 
 
 class TestInvariant:
@@ -416,7 +442,7 @@ class TestGrowth:
         with pytest.raises(SystemExit) as excinfo:
             main(["growth", "--family", "fractal", "--n-max", "0"])
         assert excinfo.value.code == 2
-        code, _, err = run(capsys, "growth", "--family", "fractal", "--n-max", "11")
+        code, _, err = run(capsys, "growth", "--family", "fractal", "--n-max", "13")
         assert code == 3 and "resource cap" in err
 
 

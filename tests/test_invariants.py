@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import starmap
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.errors import CapExceeded, DomainError
 from fractal_tutte.invariants import (
+    POTTS_STATE_CAP,
     PottsParams,
     acyclic_root_connected_orientations,
     bicycle_space_dimension,
@@ -48,7 +50,7 @@ class TestSpanningTreeClosedForms:
         assert spanning_tree_count(LatticeFamily.FLOWER13, 2) == 768
 
     @pytest.mark.parametrize("family", list(LatticeFamily))
-    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("n", [*range(5), 11])
     def test_matches_recursion_at_one_one(self, family, n):
         assert spanning_tree_count(family, n) == tutte_eval(family, n, 1, 1)
 
@@ -64,12 +66,12 @@ class TestOrientationCounts:
         assert strong_orientation_indegree_sequences(1) == 2
         assert strong_orientation_indegree_sequences(2) == 2304
 
-    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("n", [*range(5), 11])
     def test_acyclic_matches_recursion_at_one_zero(self, n):
         expected = tutte_eval(LatticeFamily.FRACTAL, n, 1, 0)
         assert acyclic_root_connected_orientations(n) == expected
 
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", [*range(1, 5), 11])
     def test_indegree_matches_recursion_at_zero_one(self, n):
         expected = tutte_eval(LatticeFamily.FRACTAL, n, 0, 1)
         assert strong_orientation_indegree_sequences(n) == expected
@@ -139,6 +141,39 @@ class TestDiagonal:
             diagonal_closed_form(5)
         diagonal_closed_value(9, Fraction(1, 2))
 
+    # At (10, 10^20): 349,525 times the 133 bits of 10^40 + 5 * 10^20 + 2,
+    # some 46 Mbit.
+    @pytest.mark.parametrize("n, x", [(10, 10 ** 20), (13, 1), (2 ** 23, 1), (10 ** 9, 1)])
+    def test_value_past_the_size_rule_is_refused_at_once(self, n, x):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded):
+            diagonal_closed_value(n, x)
+        assert time.perf_counter() - start < 0.1
+
+
+class TestSizeRuleBoundary:
+    """Generation 12 is the last that the size rule admits for the tree and
+    orientation counts and the diagonal at x = 1; each value admitted has no
+    more bits than the cap."""
+
+    @pytest.mark.parametrize("family", list(LatticeFamily))
+    def test_spanning_trees(self, family):
+        assert 0 < spanning_tree_count(family, 12).bit_length() <= EVAL_NUMERATOR_BITS_CAP
+        with pytest.raises(CapExceeded):
+            spanning_tree_count(family, 13)
+
+    def test_orientation_counts(self):
+        acyclic = acyclic_root_connected_orientations(12)
+        indegree = strong_orientation_indegree_sequences(12)
+        assert 2 * indegree == 12 * acyclic
+        assert indegree.bit_length() <= EVAL_NUMERATOR_BITS_CAP
+
+    def test_diagonal_value(self):
+        # 8 ** ((4^12 - 1) / 3) has exactly 2^24 bits.
+        value = diagonal_closed_value(12, 1)
+        assert value == 1 << 3 * bicycle_space_dimension(12)
+        assert value.numerator.bit_length() == EVAL_NUMERATOR_BITS_CAP
+
 
 class TestGrowthConstants:
     def test_limit_values(self):
@@ -167,7 +202,7 @@ class TestGrowthConstants:
         with pytest.raises(ValueError):
             growth_constant(LatticeFamily.FRACTAL, 0)
         with pytest.raises(CapExceeded):
-            growth_constant(LatticeFamily.FRACTAL, 11)
+            growth_constant(LatticeFamily.FRACTAL, 13)
 
 
 class TestPottsParams:
@@ -215,6 +250,15 @@ class TestPottsDirect:
         big = Multigraph(25, tuple((i, i + 1) for i in range(24)), 0, 24)
         with pytest.raises(CapExceeded):
             potts_direct(big, PottsParams(2, 1))
+
+    def test_cap_counts_each_coloring_once_per_edge(self):
+        # 2^20 colorings are within the cap, but 2^20 * 19 edge visits are not.
+        path = Multigraph(20, tuple((i, i + 1) for i in range(19)), 0, 19)
+        assert 2 ** 20 <= POTTS_STATE_CAP < 2 ** 20 * 19
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded):
+            potts_direct(path, PottsParams(2, 1))
+        assert time.perf_counter() - start < 0.1
 
 
 class TestPottsViaTutte:

@@ -358,7 +358,7 @@ class TestCaps:
 
     def test_eval_cap(self):
         with pytest.raises(CapExceeded):
-            tutte_eval(LatticeFamily.FRACTAL, 11, 1, 1)
+            tutte_eval(LatticeFamily.FRACTAL, 13, 1, 1)
 
     def test_eval_size_cap_raises_before_any_step(self, monkeypatch):
         # 2 (4^10 - 1) / 3 = 699,050 times 25 bits, the largest of |X|, |Y|
