@@ -325,6 +325,12 @@ class BiPoly:
             total += c * xi * yj
         return total
 
+    def transpose(self) -> "BiPoly":
+        """Swap x and y: the term (i, j) becomes (j, i)."""
+        result = BiPoly.__new__(BiPoly)
+        result._terms = {(j, i): c for (i, j), c in self._terms.items()}
+        return result
+
     def diagonal(self) -> "BiPoly":
         """Substitute y = x, collapsing each term to a single variable."""
         data: Dict[Exponents, int] = {}

@@ -18,7 +18,8 @@ from typing import Collection, Dict, Iterable, Tuple, Union
 from .bipoly import BiPoly
 from .errors import CapExceeded, DomainError
 from .lattices import LatticeFamily, Multigraph, check_generation, lattice_counts
-from .recursion import SYMBOLIC_GENERATION_CAP, _check_size, _four_sum, lowest_terms, tutte_eval
+from .recursion import (SYMBOLIC_GENERATION_CAP, _check_size, _four_sum, _homogeneous,
+                        _numerator_bits, lowest_terms, tutte_eval)
 
 POTTS_STATE_CAP = 2 ** 24
 
@@ -206,12 +207,19 @@ def potts_lattice(family: LatticeFamily, n: int, params: PottsParams) -> Fractio
 
     Z = q * v^(|V| - 1) * T is formed as one integer fraction and reduced
     once; every prime of its denominator divides q.den * v.den * D, where D
-    is the common denominator of the Tutte-plane point.
+    is the common denominator of the Tutte-plane point.  Its predicted size,
+    T's numerators and the factor q * v^(|V| - 1), is refused past the cap
+    before T is evaluated.
     """
     x, y = tutte_arguments(params)
-    value = tutte_eval(family, n, x, y)
-    vertices, _ = lattice_counts(family, n)
     q, v = params.q, params.v
+    tutte_bits = _numerator_bits(n, *_homogeneous(x, y))
+    # T's share alone comes first: past it, n is too large to form 4^n for |V|.
+    _check_size("Potts partition value", tutte_bits)
+    vertices, _ = lattice_counts(family, n)
+    _check_size("Potts partition value",
+                tutte_bits + _product_bits(((q, 1), (v, vertices - 1))))
+    value = tutte_eval(family, n, x, y)
     base = q.denominator * v.denominator * math.lcm(x.denominator, y.denominator)
     return lowest_terms(q.numerator * v.numerator ** (vertices - 1) * value.numerator,
                         q.denominator * v.denominator ** (vertices - 1) * value.denominator,

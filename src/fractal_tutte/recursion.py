@@ -9,13 +9,15 @@ the full polynomial is reassembled as joined + (x - 1) * cofactor.
 One table holds each family's step as quartic forms in the pair, over any
 commutative ring; one rule, grouped by t^2 and c^2, runs it symbolically on
 polynomials and pointwise on the integer numerators of a rational point.
+The fractal's cofactor is its joined part with x and y swapped, so its
+symbolic step forms the joined part alone and transposes it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 from .bipoly import BiPoly
 from .errors import CapExceeded
@@ -55,46 +57,63 @@ class TuttePair(NamedTuple):
         return self.joined + (BiPoly.x() - 1) * self.cofactor
 
 
+Form = Callable[[Ring, Ring, int], Tuple[Ring, ...]]
+
 # The next joined part and cofactor are quartic forms in the pair (t, c):
-# each entry gives their coefficients of t^4, t^3 c, t^2 c^2, t c^3 and c^4,
+# each form gives their coefficients of t^4, t^3 c, t^2 c^2, t c^3 and c^4,
 # with 0 where a term is absent.  Each coefficient, of degree at most 2 in
 # (x, y), is written as a homogeneous quadratic in (x, y, d).  With d = 1 the
 # step is at (x, y), symbolic or not; with integers X, Y, D it maps
 # numerators over D^e to numerators over D^(4e + 2) at (X/D, Y/D).
-_QUARTIC_FORMS: dict[LatticeFamily,
-                     Callable[[Ring, Ring, int], Tuple[Tuple[Ring, ...], Tuple[Ring, ...]]]] = {
-    LatticeFamily.FRACTAL: lambda x, y, d: (
-        (y * (y - d), 4 * y * d, 2 * (x + d) * d, 0, 0),
-        (0, 0, 2 * (y + d) * d, 4 * x * d, x * (x - d))),
-    LatticeFamily.FLOWER22: lambda x, y, d: (
-        ((y - d) * d, 4 * d * d, 2 * (x - d) * d, 0, 0),
-        (0, 0, 4 * d * d, 4 * (x - d) * d, (x - d) * (x - d))),
-    LatticeFamily.FLOWER13: lambda x, y, d: (
-        ((y - d) * d, 4 * d * d, 3 * (x - d) * d, (x - d) * (x - d), 0),
-        (0, 0, 3 * d * d, 3 * (x - d) * d, (x - d) * (x - d))),
+#
+# Each family has a (joined, cofactor) pair of forms.  A cofactor form of
+# None stands for the dual of the joined form: x and y swapped, and t and c,
+# which reverses the coefficient tuple.  The fractal's two parts are dual in
+# this sense, and its step is stated once.
+_QUARTIC_FORMS: dict[LatticeFamily, Tuple[Form, Optional[Form]]] = {
+    LatticeFamily.FRACTAL: (
+        lambda x, y, d: (y * (y - d), 4 * y * d, 2 * (x + d) * d, 0, 0),
+        None),
+    LatticeFamily.FLOWER22: (
+        lambda x, y, d: ((y - d) * d, 4 * d * d, 2 * (x - d) * d, 0, 0),
+        lambda x, y, d: (0, 0, 4 * d * d, 4 * (x - d) * d, (x - d) * (x - d))),
+    LatticeFamily.FLOWER13: (
+        lambda x, y, d: ((y - d) * d, 4 * d * d, 3 * (x - d) * d, (x - d) * (x - d), 0),
+        lambda x, y, d: (0, 0, 3 * d * d, 3 * (x - d) * d, (x - d) * (x - d))),
 }
 
 
+def _forms(family: LatticeFamily, x: Ring, y: Ring,
+           d: int) -> Tuple[Tuple[Ring, ...], Tuple[Ring, ...]]:
+    """The coefficients of the family's joined and cofactor forms at (x, y, d)."""
+    joined, cofactor = _QUARTIC_FORMS[family]
+    return joined(x, y, d), (cofactor(x, y, d) if cofactor else joined(y, x, d)[::-1])
+
+
+def _quartic(form: Tuple[Ring, ...], t2: Ring, tc: Ring, c2: Ring) -> Ring:
+    """a0 t^4 + a1 t^3 c + a2 t^2 c^2 + a3 t c^3 + a4 c^4 from t^2, t c and c^2,
+    summed as t^2 (a0 t^2 + a1 t c + a2 c^2) + c^2 (a3 t c + a4 c^2), the a2
+    term going to the c^2 group if that is nonempty: one quartic-size
+    product per nonempty group."""
+    a0, a1, a2, a3, a4 = form
+    c2_used = a3 or a4
+    total = 0
+    for square, terms in ((t2, ((a0, t2), (a1, tc), (0 if c2_used else a2, c2))),
+                          (c2, ((a2 if c2_used else 0, t2), (a3, tc), (a4, c2)))):
+        group = None
+        for a, u in terms:
+            if a:
+                group = a * u if group is None else group + a * u
+        if group is not None:
+            total = total + square * group
+    return total
+
+
 def _rule(family: LatticeFamily, t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
-    """The next (joined, cofactor) from the pair (t, c).  Each form
-    a0 t^4 + a1 t^3 c + a2 t^2 c^2 + a3 t c^3 + a4 c^4 is summed as
-    t^2 (a0 t^2 + a1 t c + a2 c^2) + c^2 (a3 t c + a4 c^2), the a2 term going
-    to the c^2 group if that is nonempty: one quartic-size product per group."""
+    """The next (joined, cofactor) from the pair (t, c), each part formed on its own."""
     t2, c2, tc = t * t, c * c, t * c
-    next_pair = []
-    for a0, a1, a2, a3, a4 in _QUARTIC_FORMS[family](x, y, d):
-        c2_used = a3 or a4
-        total = 0
-        for square, terms in ((t2, ((a0, t2), (a1, tc), (0 if c2_used else a2, c2))),
-                              (c2, ((a2 if c2_used else 0, t2), (a3, tc), (a4, c2)))):
-            group = None
-            for a, u in terms:
-                if a:
-                    group = a * u if group is None else group + a * u
-            if group is not None:
-                total = total + square * group
-        next_pair.append(total)
-    return next_pair[0], next_pair[1]
+    joined, cofactor = _forms(family, x, y, d)
+    return _quartic(joined, t2, tc, c2), _quartic(cofactor, t2, tc, c2)
 
 
 def initial_pair() -> TuttePair:
@@ -104,8 +123,22 @@ def initial_pair() -> TuttePair:
 
 def step(family: LatticeFamily, pair: TuttePair) -> TuttePair:
     """One symbolic generation step.  It has no cap: starting from
-    initial_pair() and stepping n times runs past SYMBOLIC_GENERATION_CAP."""
-    return TuttePair(*_rule(family, pair.joined, pair.cofactor, BiPoly.x(), BiPoly.y(), 1))
+    initial_pair() and stepping n times runs past SYMBOLIC_GENERATION_CAP.
+
+    When the family's cofactor form is the dual of its joined form and the
+    cofactor is the joined part with x and y swapped, as for initial_pair(),
+    the next pair is dual too, since swapping x and y maps one form onto the
+    other.  Then only the joined part is formed, from t^2, t c and
+    c^2 = (t^2) transposed, and the next cofactor is its transpose.
+    """
+    t, c = pair
+    x, y = BiPoly.x(), BiPoly.y()
+    joined_form, cofactor_form = _QUARTIC_FORMS[family]
+    if cofactor_form is None and c == t.transpose():
+        t2 = t * t
+        joined = _quartic(joined_form(x, y, 1), t2, t * c, t2.transpose())
+        return TuttePair(joined, joined.transpose())
+    return TuttePair(*_rule(family, t, c, x, y, 1))
 
 
 def tutte_pair(family: LatticeFamily, n: int) -> TuttePair:
@@ -160,6 +193,12 @@ def lowest_terms(numerator: int, denominator: int, base: int) -> Fraction:
             numerator, denominator, power = num, den, power * power
 
 
+def _numerator_bits(n: int, big_x: int, big_y: int, d: int) -> int:
+    """Predicted bits of the generation-n numerators at (X/D, Y/D), which
+    are homogeneous of degree e_n = 2 (4^n - 1) / 3 in (X, Y, D)."""
+    return 2 * _four_sum(n) * max(abs(big_x), abs(big_y), d).bit_length()
+
+
 def _eval_numerators(family: LatticeFamily, n: int, x: Union[int, Fraction],
                      y: Union[int, Fraction]) -> Tuple[int, int, int, int, int]:
     """(J, C, e, X, D): the split state at x = X/D, y = Y/D is (J/D^e, C/D^e).
@@ -170,9 +209,7 @@ def _eval_numerators(family: LatticeFamily, n: int, x: Union[int, Fraction],
     every later product twice as long.
     """
     big_x, big_y, d = _homogeneous(Fraction(x), Fraction(y))
-    # The numerators are homogeneous of degree e_n = 2 (4^n - 1) / 3 in (X, Y, D).
-    _check_size("evaluation numerators",
-                2 * _four_sum(n) * max(abs(big_x), abs(big_y), d).bit_length())
+    _check_size("evaluation numerators", _numerator_bits(n, big_x, big_y, d))
     joined, cofactor, e = 1, 1, 0
     for _ in range(n):
         joined, cofactor = _rule(family, joined, cofactor, big_x, big_y, d)

@@ -232,6 +232,14 @@ class TestPackedProduct:
         assert radices == [radix] * 2
         assert product == schoolbook(a, b)
 
+    @settings(max_examples=20, deadline=None)
+    @given(dense_operands())
+    def test_transpose_of_product(self, radix, pair):
+        a, b = pair
+        with packed_operands(radix) as radices:
+            assert (a * b).transpose() == a.transpose() * b.transpose()
+        assert radices == [radix] * 4
+
     def test_sparse_operands_keep_the_schoolbook_loop(self, radix):
         # Forty terms spread over exponents up to 4 * 10^7: packing would need
         # petabytes of mostly empty slots.
@@ -387,6 +395,31 @@ class TestDiagonal:
     @given(bipolys(), rationals)
     def test_diagonal_agrees_with_equal_arguments(self, a, t):
         assert a.diagonal().evaluate(t, 0) == a.evaluate(t, t)
+
+
+class TestTranspose:
+    def test_swaps_the_exponents(self):
+        assert X.transpose() == Y
+        assert DIAMOND.transpose() == BiPoly(
+            {(0, 3): 1, (0, 2): 2, (0, 1): 1, (1, 1): 2, (1, 0): 1, (2, 0): 1})
+
+    @given(bipolys())
+    def test_twice_is_the_identity(self, a):
+        assert a.transpose().transpose() == a
+
+    @given(bipolys(), bipolys())
+    def test_product_on_the_schoolbook_path(self, a, b):
+        with packed_operands() as radices:
+            assert (a * b).transpose() == a.transpose() * b.transpose()
+        assert not radices
+
+    @given(bipolys(max_terms=40, max_exp=9), st.randoms(use_true_random=False))
+    def test_json_does_not_depend_on_insertion_order(self, a, rng):
+        # The transpose is built in the order of a's terms; the same terms
+        # inserted in another order must give the same bytes.
+        terms = [((j, i), c) for (i, j), c in a.terms().items()]
+        rng.shuffle(terms)
+        assert a.transpose().to_json() == BiPoly(dict(terms)).to_json()
 
 
 class TestDivisionByXMinus1:

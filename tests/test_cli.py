@@ -285,6 +285,16 @@ class TestPotts:
         assert code == 0
         assert json.loads(out)["v"] == "-1/2"
 
+    def test_value_just_past_the_size_rule_exits_3_at_once(self, capsys):
+        # T's numerators are predicted at 8,388,606 bits and q v^(|V| - 1)
+        # adds 8,388,615: 5 bits past 2^24.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "potts", "--family", "fractal", "--n", "11",
+                             "--q", "9/4", "--v", "3/2")
+        assert time.perf_counter() - start < 0.5
+        assert code == 3
+        assert out == "" and "resource cap" in err
+
     def test_zero_coupling_is_a_domain_error(self, capsys):
         code, _, err = run(
             capsys, "potts", "--family", "fractal", "--n", "1", "--q", "2", "--v", "0"
@@ -494,13 +504,15 @@ class TestVerify:
             checks.run_gates(n_max)
 
     def test_detects_a_mutated_step_rule(self, capsys, monkeypatch):
-        original = recursion._QUARTIC_FORMS[LatticeFamily.FRACTAL]
+        # The fractal states one form; its cofactor form is the dual of it.
+        original, cofactor = recursion._QUARTIC_FORMS[LatticeFamily.FRACTAL]
+        assert cofactor is None
 
         def broken(x, y, d):
-            joined, cofactor = original(x, y, d)
-            return (joined[0] + d * d,) + joined[1:], cofactor
+            joined = original(x, y, d)
+            return (joined[0] + d * d,) + joined[1:]
 
-        monkeypatch.setitem(recursion._QUARTIC_FORMS, LatticeFamily.FRACTAL, broken)
+        monkeypatch.setitem(recursion._QUARTIC_FORMS, LatticeFamily.FRACTAL, (broken, None))
         code, out, err = run(capsys, "verify", "--n-max", "1")
         assert code == 1
         assert "FAIL" in out

@@ -296,6 +296,32 @@ class TestPottsViaTutte:
         assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
         assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1
 
+    # At q = 9/4, v = 3/2 the Tutte-plane point is (5/2, 5/2): T's numerators
+    # are predicted at 2 (4^n - 1) / 3 times 3 bits, and q v^(|V| - 1) adds
+    # 6 + 3 (|V| - 1) bits.
+    PARAMS = PottsParams(Fraction(9, 4), Fraction(3, 2))
+
+    @classmethod
+    def predicted_bits(cls, n):
+        vertices, _ = lattice_counts(LatticeFamily.FRACTAL, n)
+        return 2 * (4 ** n - 1) // 3 * 3 + 6 + 3 * (vertices - 1)
+
+    def test_factor_q_v_power_counts_against_the_cap(self):
+        # n = 11: T's share is 8,388,606 bits, the whole 16,777,221, just
+        # past 2^24.
+        assert self.predicted_bits(11) == (1 << 24) + 5
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded):
+            potts_lattice(LatticeFamily.FRACTAL, 11, self.PARAMS)
+        assert time.perf_counter() - start < 0.5
+
+    def test_admitted_value_stays_within_its_prediction(self):
+        # At n = 9 the numerator alone (834,056 bits) is past T's share of
+        # the prediction (524,286 bits), but within the whole.
+        value = potts_lattice(LatticeFamily.FRACTAL, 9, self.PARAMS)
+        bits = max(abs(value.numerator).bit_length(), value.denominator.bit_length())
+        assert 2 * (4 ** 9 - 1) // 3 * 3 < bits <= self.predicted_bits(9)
+
     def test_partition_identity_on_random_multigraphs(self):
         rng = random.Random(6022)
         combos = [

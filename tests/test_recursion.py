@@ -76,20 +76,30 @@ class TestQuarticForms:
         # over D^(4e + 2) only if scaling (X, Y, D) by k scales every
         # coefficient by k^2.
         rng = random.Random(2718)
-        for family, forms in recursion._QUARTIC_FORMS.items():
+        for family in LatticeFamily:
             for _ in range(50):
                 big_x, big_y = rng.randint(-99, 99), rng.randint(-99, 99)
                 d, k = rng.randint(1, 99), rng.randint(-9, 9)
-                scaled = forms(k * big_x, k * big_y, k * d)
-                for part, scaled_part in zip(forms(big_x, big_y, d), scaled):
+                scaled = recursion._forms(family, k * big_x, k * big_y, k * d)
+                for part, scaled_part in zip(recursion._forms(family, big_x, big_y, d), scaled):
                     assert len(part) == len(scaled_part) == 5, family
                     assert list(scaled_part) == [k * k * a for a in part], family
+
+    def test_fractal_cofactor_form_is_the_dual_of_its_joined_form(self):
+        # The fractal states its joined form alone; the dual must give the
+        # cofactor form (0, 0, 2 (y + d) d, 4 x d, x (x - d)).
+        assert recursion._QUARTIC_FORMS[LatticeFamily.FRACTAL][1] is None
+        rng = random.Random(1729)
+        for _ in range(50):
+            x, y, d = rng.randint(-99, 99), rng.randint(-99, 99), rng.randint(1, 99)
+            _, cofactor = recursion._forms(LatticeFamily.FRACTAL, x, y, d)
+            assert cofactor == (0, 0, 2 * (y + d) * d, 4 * x * d, x * (x - d))
 
 
 def quartic_sums(family, t, c, x, y, d):
     """(joined, cofactor) as sum a_k t^(4 - k) c^k, straight from the table."""
     return tuple(sum((a * t ** (4 - k) * c ** k for k, a in enumerate(part)), 0)
-                 for part in recursion._QUARTIC_FORMS[family](x, y, d))
+                 for part in recursion._forms(family, x, y, d))
 
 
 class CountingRing:
@@ -152,6 +162,66 @@ class TestRule:
         joined, cofactor = recursion._rule(family, t, c, 5, 7, 3)
         assert len(counter) == products
         assert (joined.value, cofactor.value) == quartic_sums(family, 11, -13, 5, 7, 3)
+
+
+class TestSymbolicStep:
+    @pytest.mark.parametrize("family, products", [
+        (LatticeFamily.FRACTAL, 3), (LatticeFamily.FLOWER22, 5), (LatticeFamily.FLOWER13, 6)])
+    def test_products_of_pair_sized_operands(self, monkeypatch, family, products):
+        # The fractal forms t^2, t c and one group product, and transposes;
+        # the flowers form t^2, c^2, t c and one product per nonempty group.
+        pair = tutte_pair(family, 2)
+        pair_terms = min(map(len, pair))
+        sizes = []
+        multiply = BiPoly.__mul__
+
+        def counted(a, b):
+            if isinstance(b, BiPoly):
+                sizes.append(min(len(a), len(b)))
+            return multiply(a, b)
+        monkeypatch.setattr(BiPoly, "__mul__", counted)
+        monkeypatch.setattr(BiPoly, "__rmul__", counted)
+        got = step(family, pair)
+        monkeypatch.undo()
+        assert sum(size >= pair_terms for size in sizes) == products
+        assert got == quartic_sums(family, *pair, X, Y, 1)
+
+    @pytest.mark.parametrize("family", list(LatticeFamily))
+    def test_matches_quartic_sums_on_pairs_that_are_not_dual(self, family):
+        # A cofactor other than the joined part transposed takes the rule
+        # that forms both parts.
+        rng = random.Random(2024)
+        for _ in range(10):
+            t, c = (BiPoly({(rng.randint(0, 3), rng.randint(0, 3)): rng.randint(-5, 5)
+                            for _ in range(rng.randint(1, 6))}) for _ in range(2))
+            assert step(family, TuttePair(t, c)) == quartic_sums(family, t, c, X, Y, 1)
+
+
+class TestDuality:
+    """The fractal's cofactor is its joined part with x and y swapped.  The
+    symbolic step relies on it; the pointwise recursion forms both parts on
+    its own, so it checks the derived cofactor independently."""
+
+    def test_symbolic_pair_matches_eval_pair(self, symbolic_n4):
+        rng = random.Random(4096)
+        points = [(Fraction(rng.randint(-6, 6), rng.randint(1, 6)),
+                   Fraction(rng.randint(-6, 6), rng.randint(1, 6))) for _ in range(3)]
+        points += [(Fraction(1), Fraction(-3, 4)), (Fraction(2, 5), Fraction(1))]
+        pair = symbolic_n4[LatticeFamily.FRACTAL]
+        for x, y in points:
+            expected = eval_pair(LatticeFamily.FRACTAL, 4, x, y)
+            assert (pair.joined.evaluate(x, y), pair.cofactor.evaluate(x, y)) == expected
+
+    def test_eval_pair_swaps_its_parts_with_x_and_y(self):
+        rng = random.Random(6174)
+        points = [(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                   Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(6)]
+        points += [(Fraction(1), Fraction(5, 7)), (Fraction(2), Fraction(-3))]
+        for n in range(7):
+            for x, y in points:
+                pair = eval_pair(LatticeFamily.FRACTAL, n, x, y)
+                swapped = eval_pair(LatticeFamily.FRACTAL, n, y, x)
+                assert pair == (swapped.cofactor, swapped.joined), (n, x, y)
 
 
 class TestAssembledPolynomials:
@@ -368,7 +438,8 @@ class TestCaps:
 
         def no_step(*args):
             raise Stepped
-        monkeypatch.setattr(recursion, "_QUARTIC_FORMS", dict.fromkeys(LatticeFamily, no_step))
+        monkeypatch.setattr(recursion, "_QUARTIC_FORMS",
+                            dict.fromkeys(LatticeFamily, (no_step, no_step)))
         for point in [(Fraction(1, 2 ** 24 + 1), 2), (2 ** 24 + 1, 2), (1, -2 ** 24 - 1)]:
             with pytest.raises(CapExceeded):
                 tutte_eval(LatticeFamily.FRACTAL, 10, *point)
