@@ -19,15 +19,19 @@ keeps the index of its earlier copy, so 1.sx, 2.sx, 3.sx and 3.sy become
 of merged indices below it.
 
 A graph's edges are two endpoint columns, flat int lists `tails` and
-`heads`, with edge i = (tails[i], heads[i]) and tails[i] <= heads[i] in
+`heads`, with edge i = (tails[i], heads[i]) and tails[i] < heads[i] in
 every built lattice.  No index is merged into copy 0, so its edges are the
 old columns copied; each other copy maps the old columns through its slice
-of the label list (one C-level `map` per copy and column).  Then the few
-edges a hub relabelling turned around are swapped back.  No object is made
-per edge, and the columns share the label list's int objects: building
-fractal n=8 peaks at about 41 traced bytes per edge.  The edge list is
-written from the columns in chunks of `_CHUNK_EDGES` lines, one
-string-format call each.
+of the label list (one C-level `map` per copy and column).  Labels keep the
+order of unmerged indices and put each hub below the rest of its copy, and
+special_x stays 0, never a head, so only copy 3's edges into hub 3.sy can
+turn around; only those are checked and swapped back.  Each new endpoint is
+an old one or an entry of the label list, so one bound check on that list
+keeps all endpoints in range, and the built lattice skips the constructor's
+scan of its columns.  No object is made per edge, and the columns share the
+label list's int objects: building fractal n=8 peaks at about 41 traced
+bytes per edge.  The edge list is written from the columns in chunks of
+`_CHUNK_EDGES` lines, one string-format call each.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, compress, starmap
-from operator import gt
+from contextlib import suppress
+from itertools import chain, starmap
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from .errors import CapExceeded
@@ -167,15 +171,13 @@ def check_generation(n: int, cap: Optional[int] = None) -> None:
         raise CapExceeded(f"generation {n} exceeds cap {cap}")
 
 
-def _next_generation(g: Multigraph, family: LatticeFamily) -> Multigraph:
-    """Glue four copies of g into the ring for the requested family."""
-    n_old = g.vertex_count
-    sx, sy = g.special_x, g.special_y
+def _next_generation(n_old: int, sy: int, old_tails: List[int], old_heads: List[int],
+                     family: LatticeFamily) -> Tuple[int, int, List[int], List[int]]:
+    """Glue four copies of a generation into the ring: (vertices, special_y, tails, heads)."""
     # Ring layout: copies 0 and 1 leave the left hub, copies 2 and 3 enter
     # the right hub, and the two middle hubs chain copy 0 to 2 and 1 to 3.
     # Each hub keeps the index of its earlier copy (see the module docstring).
-    merged = {n_old + sx: sx, 2 * n_old + sx: sy,
-              3 * n_old + sx: n_old + sy, 3 * n_old + sy: 2 * n_old + sy}
+    merged = {n_old: 0, 2 * n_old: sy, 3 * n_old: n_old + sy, 3 * n_old + sy: 2 * n_old + sy}
     vertex_count = 4 * n_old - len(merged)
     # Every merged index lies above copy 0, so copy 0 keeps its labels and
     # its edges are the old columns; `upper` labels the indices from n_old up.
@@ -187,30 +189,39 @@ def _next_generation(g: Multigraph, family: LatticeFamily) -> Multigraph:
         target = merged[index]
         upper.append(target if target < n_old else upper[target - n_old])
     upper.extend(range(n_old + len(upper) - len(merged), vertex_count))
+    if not (0 <= min(upper) and max(upper) < vertex_count):
+        raise ValueError("vertex label out of range")
 
-    tails, heads = list(g.edges.tails), list(g.edges.heads)
+    tails, heads = list(old_tails), list(old_heads)
     for copy in range(3):
         copy_label = upper[copy * n_old:(copy + 1) * n_old].__getitem__
-        tails.extend(map(copy_label, g.edges.tails))
-        heads.extend(map(copy_label, g.edges.heads))
+        tails.extend(map(copy_label, old_tails))
+        heads.extend(map(copy_label, old_heads))
     if family is LatticeFamily.FRACTAL:
         tails.append(sy)
         heads.append(upper[sy])
-    # Labels keep the order of unmerged indices, so only edges at a hub can
-    # have turned around; put each edge's smaller endpoint first again.
-    for i in compress(range(len(tails)), map(gt, tails, heads)):
-        tails[i], heads[i] = heads[i], tails[i]
+    # Swap back copy 3's edges into hub 3.sy that turned around, each found
+    # by a C-level scan of the heads column.
+    hub, i = upper[n_old + sy], 3 * len(old_heads)
+    with suppress(ValueError):
+        while True:
+            i = heads.index(hub, i) + 1
+            if tails[i - 1] > hub:
+                tails[i - 1], heads[i - 1] = hub, tails[i - 1]
 
-    special_y = sy if family is LatticeFamily.FLOWER13 else upper[n_old + sy]
-    return Multigraph(vertex_count, Edges(tails, heads), sx, special_y)
+    return vertex_count, sy if family is LatticeFamily.FLOWER13 else hub, tails, heads
 
 
 def build_lattice(family: LatticeFamily, n: int) -> Multigraph:
     """Generation n of the requested family, with deterministic labels."""
     check_generation(n, GENERATION_CAP)
-    g = Multigraph(2, Edges([0], [1]), 0, 1)
+    vertex_count, special_y, tails, heads = 2, 1, [0], [1]
     for _ in range(n):
-        g = _next_generation(g, family)
+        vertex_count, special_y, tails, heads = _next_generation(
+            vertex_count, special_y, tails, heads, family)
+    # In range by construction: check the specials on no edges, then set the columns.
+    g = Multigraph(vertex_count, Edges([], []), 0, special_y)
+    object.__setattr__(g, "edges", Edges(tails, heads))
     return g
 
 

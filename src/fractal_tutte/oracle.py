@@ -27,6 +27,9 @@ from .lattices import Multigraph, union_find
 
 EXPANSION_EDGE_CAP = 24
 DC_EDGE_CAP = 64
+# Distinct minors deletion-contraction may memoize.  A 3x6 grid needs 10,359
+# and the gates at most 338; flower22 n=3 needs 52,042 (6.4 s, 517 MB).
+DC_MEMO_CAP = 1 << 14
 
 Census = Dict[Tuple[int, int], int]
 R = TypeVar("R")
@@ -148,7 +151,8 @@ def tutte_deletion_contraction(g: Multigraph) -> BiPoly:
     one step: a loop class gives y^k T(rest); a class whose endpoints the
     rest leaves apart is a bridge class, giving (x + y + ... + y^(k-1))
     T(G/class); any other class gives T(G - class) + (1 + y + ... +
-    y^(k-1)) T(G/class).
+    y^(k-1)) T(G/class).  Raises CapExceeded once the memo passes
+    DC_MEMO_CAP entries.
     """
     if len(g.edges) > DC_EDGE_CAP:
         raise CapExceeded(f"{len(g.edges)} edges exceeds deletion-contraction cap {DC_EDGE_CAP}")
@@ -175,6 +179,8 @@ def tutte_deletion_contraction(g: Multigraph) -> BiPoly:
                 result = (BiPoly.x() - 1 + sigma) * solve(contracted)
             else:
                 result = solve(rest) + sigma * solve(contracted)
+        if len(memo) >= DC_MEMO_CAP:
+            raise CapExceeded(f"deletion-contraction passed {DC_MEMO_CAP} memoized minors")
         memo[edges] = result
         return result
 

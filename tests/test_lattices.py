@@ -116,6 +116,21 @@ class TestStructure:
         assert hashlib.sha256(text.encode()).hexdigest() == self.EDGE_LIST_SHA256[family, n]
 
 
+class TestBuiltInvariants:
+    # build_lattice skips the constructor's column scan and checks for turned
+    # edges only at hub 3.sy; these are the facts it rests on.
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", range(8))
+    def test_in_range_ordered_and_special_x_zero(self, family, n):
+        g = build_lattice(family, n)
+        tails, heads = g.edges.tails, g.edges.heads
+        rebuilt = Multigraph(g.vertex_count, Edges(list(tails), list(heads)),
+                             g.special_x, g.special_y)
+        assert rebuilt == g
+        assert all(u < v for u, v in zip(tails, heads))
+        assert g.special_x == 0
+
+
 class TestMemory:
     # Peak bytes traced per edge while building fractal n=8 and writing its
     # edge list.  The columns and chunked text measure about 59; a tuple per
@@ -229,6 +244,10 @@ class TestEdgeListFormat:
     def test_edge_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             from_edge_list("p 2 2 0 1\ne 0 1\n")
+
+    def test_endpoint_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            from_edge_list("p 2 1 0 1\ne 0 2\n")
 
     def test_unknown_line_rejected(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.errors import CapExceeded
 from fractal_tutte.lattices import LatticeFamily, Multigraph, build_lattice
 from fractal_tutte.oracle import (
+    DC_EDGE_CAP,
     EXPANSION_EDGE_CAP,
     count_spanning_trees_bruteforce,
     rank_nullity_census,
@@ -246,6 +247,15 @@ class TestEdgeCaps:
         with pytest.raises(CapExceeded):
             tutte_deletion_contraction(_path_graph(65))
         tutte_deletion_contraction(_path_graph(64))  # at the cap is fine
+
+    @pytest.mark.parametrize("family", (LatticeFamily.FLOWER22, LatticeFamily.FLOWER13))
+    def test_deletion_contraction_memo_cap(self, family):
+        # Both flowers at n=3 have 64 edges, within the edge cap; uncapped,
+        # flower22 took 6.4 s and 517 MB, and flower13 ran past 110 s.
+        g = build_lattice(family, 3)
+        assert g.edge_count == DC_EDGE_CAP
+        with pytest.raises(CapExceeded, match="memoized minors"):
+            tutte_deletion_contraction(g)
 
 
 class TestEdgelessGraphs:
