@@ -11,12 +11,12 @@ from itertools import combinations
 
 import pytest
 
+from fractal_tutte import oracle
 from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.errors import CapExceeded
 from fractal_tutte.lattices import LatticeFamily, Multigraph, build_lattice
 from fractal_tutte.oracle import (
     DC_EDGE_CAP,
-    EXPANSION_EDGE_CAP,
     count_spanning_trees_bruteforce,
     rank_nullity_census,
     split_tutte,
@@ -161,8 +161,9 @@ class TestSpanningTreeCounts:
 
 
 class TestCensusSweep:
-    """The census sweeps the edges in their given order; its result must
-    not depend on that order, and must match a listing of every subset."""
+    """The census eliminates vertices in an order its edge order can sway
+    (through the order of its factors); its result must not depend on that
+    order, and must match a listing of every subset."""
 
     def test_shuffled_lattice_edges_give_the_same_census(self):
         rng = random.Random(20261018)
@@ -188,12 +189,12 @@ class TestCensusSweep:
     def test_named_graphs_match_the_listed_subsets(self, graph):
         assert rank_nullity_census(graph) == listed_census(graph)
 
-    def test_cycle_at_the_cap_with_even_edges_first(self):
-        # Every other edge first makes all 24 vertices live at once, the
-        # worst order tried for the sweep.
+    def test_cycle_of_24_edges_with_even_edges_first(self):
+        # Every other edge first made all 24 vertices live at once, the worst
+        # order tried for the edge sweep that the elimination replaced.
         cycle = [(i, (i + 1) % 24) for i in range(24)]
         g = Multigraph(24, tuple(cycle[0::2] + cycle[1::2]), 0, 12)
-        assert g.edge_count == EXPANSION_EDGE_CAP
+        assert g.edge_count == 24
         start = time.perf_counter()
         t = tutte_subgraph_expansion(g)
         elapsed = time.perf_counter() - start
@@ -211,9 +212,9 @@ def _grid_graph(rows, columns):
     return Multigraph(rows * columns, tuple(edges), 0, rows * columns - 1)
 
 
-class TestDeletionContractionPastCensusCap:
-    """Graphs with more edges than the census allows, checked against
-    counts known in closed form."""
+class TestGraphsPastTwentyFourEdges:
+    """Graphs of more than 24 edges: deletion-contraction against counts
+    known in closed form, and the census against deletion-contraction."""
 
     def test_complete_graph_k7(self):
         t = tutte_deletion_contraction(Multigraph(7, tuple(combinations(range(7), 2)), 0, 6))
@@ -227,6 +228,11 @@ class TestDeletionContractionPastCensusCap:
         t = tutte_deletion_contraction(g)
         assert t.evaluate(1, 1) == 380160  # matrix-tree theorem
         assert t.evaluate(2, 2) == 2 ** 27
+        assert tutte_subgraph_expansion(g) == t
+        assert count_spanning_trees_bruteforce(g) == 380160
+
+    def test_path_of_25_edges(self):
+        assert tutte_subgraph_expansion(_path_graph(25)) == X ** 25
 
 
 def _path_graph(edge_total):
@@ -234,14 +240,24 @@ def _path_graph(edge_total):
     return Multigraph(edge_total + 1, edges, 0, edge_total)
 
 
-class TestEdgeCaps:
-    def test_expansion_cap(self):
-        with pytest.raises(CapExceeded):
-            tutte_subgraph_expansion(_path_graph(25))
-        with pytest.raises(CapExceeded):
-            split_tutte(_path_graph(25))
-        with pytest.raises(CapExceeded):
-            rank_nullity_census(_path_graph(25))
+class TestCaps:
+    @pytest.mark.parametrize("graph", [
+        Multigraph(12, tuple(combinations(range(12), 2)), 0, 11),  # K_12
+        _grid_graph(30, 30),
+    ], ids=["K12", "grid30x30"])
+    def test_elimination_cap_fails_fast(self, monkeypatch, graph):
+        # Both are refused from their elimination order alone: no factor
+        # table is joined or summed over, and each refusal is quick.
+        def no_table(*args):
+            raise AssertionError("a table was built")
+        monkeypatch.setattr(oracle, "_join", no_table)
+        monkeypatch.setattr(oracle, "_eliminate", no_table)
+        for oracle_call in (tutte_subgraph_expansion, split_tutte, rank_nullity_census,
+                            count_spanning_trees_bruteforce):
+            start = time.perf_counter()
+            with pytest.raises(CapExceeded, match="vertex elimination"):
+                oracle_call(graph)
+            assert time.perf_counter() - start < 0.5
 
     def test_deletion_contraction_cap(self):
         with pytest.raises(CapExceeded):

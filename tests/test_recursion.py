@@ -244,9 +244,8 @@ class TestAgainstOracles:
         results = run_oracle_gates(1)
         assert results and all(r.passed for r in results)
 
-    def test_split_census_at_generation_three(self, monkeypatch, symbolic_n3):
-        # 64 to 85 edges: past the census cap, which this test lifts.
-        monkeypatch.setattr(oracle, "EXPANSION_EDGE_CAP", 100)
+    def test_split_census_at_generation_three(self, symbolic_n3):
+        # 64 to 85 edges.
         for family, pair in symbolic_n3.items():
             joined, severed = oracle.split_tutte(build_lattice(family, 3))
             assert (joined, severed) == (pair.joined, (X - 1) * pair.cofactor), family
@@ -254,23 +253,21 @@ class TestAgainstOracles:
     # (1, 5/7) lies on the line x = 1 and (-1/6, 1) on y = 1, where every
     # subset with a factor u or v weighs 0; at (-1/6, 5/7) the common
     # denominator only partly cancels.
-    @pytest.mark.parametrize("x,y", [
-        (Fraction(3, 7), Fraction(-5, 2)), (Fraction(2), Fraction(3)),
-        (Fraction(1), Fraction(5, 7)), (Fraction(-1, 6), Fraction(1)),
-        (Fraction(-1, 6), Fraction(5, 7)),
+    @pytest.mark.parametrize("x,y,n_max", [
+        (Fraction(3, 7), Fraction(-5, 2), 5), (Fraction(2), Fraction(3), 4),
+        (Fraction(1), Fraction(5, 7), 4), (Fraction(-1, 6), Fraction(1), 4),
+        (Fraction(-1, 6), Fraction(5, 7), 4),
     ])
-    def test_sweep_at_a_point_past_generation_two(self, monkeypatch, x, y):
-        # The sweep on exact rationals, every family at n=3 and the flowers
-        # at n=4 (256 edges), with the census cap lifted.
-        monkeypatch.setattr(oracle, "EXPANSION_EDGE_CAP", 256)
-        graphs = [(family, 3) for family in LatticeFamily]
-        graphs += [(LatticeFamily.FLOWER22, 4), (LatticeFamily.FLOWER13, 4)]
-        for family, n in graphs:
-            expected = tutte_eval(family, n, x, y)
-            assert sum(oracle._sweep(build_lattice(family, n), x - 1, y - 1)) == expected, family
+    def test_sweep_at_a_point_past_generation_two(self, x, y, n_max):
+        # The elimination on exact rationals, every family from n=3 to n_max
+        # (1,024 to 1,365 edges at n=5).
+        for family in LatticeFamily:
+            for n in range(3, n_max + 1):
+                expected = tutte_eval(family, n, x, y)
+                got = sum(oracle._sweep(build_lattice(family, n), x - 1, y - 1))
+                assert got == expected, (family, n)
 
-    def test_tree_count_at_generation_three(self, monkeypatch):
-        monkeypatch.setattr(oracle, "EXPANSION_EDGE_CAP", 100)
+    def test_tree_count_at_generation_three(self):
         for family in LatticeFamily:
             trees = oracle.count_spanning_trees_bruteforce(build_lattice(family, 3))
             assert trees == spanning_tree_count(family, 3), family
