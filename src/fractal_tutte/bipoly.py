@@ -83,6 +83,32 @@ def _pack(terms: Dict[Exponents, int], width: int, digits: int, radix: int,
     return value
 
 
+def _bias(bias: str, slots: int, parse: Callable, add: Callable,
+          shift: Callable) -> Union[int, decimal.Decimal]:
+    """``parse("1" + bias * slots)``, where ``shift(v, k)`` multiplies v by
+    the radix to the k-th power.
+
+    The run of copies of the bias is doubled, one shift and one addition per
+    bit of ``slots``, which costs about two additions of the full length.
+    Parsing the string instead would cost far more in the decimal radix,
+    where it has millions of digits.
+    """
+    digits, unit = len(bias), parse(bias)
+    run, copies = unit, 1
+    for bit in bin(slots)[3:]:
+        run = add(shift(run, copies * digits), run)
+        copies *= 2
+        if bit == "1":
+            run = add(shift(run, digits), unit)
+            copies += 1
+    return add(shift(parse("1"), slots * digits), run)
+
+
+def _shift_hex(value: int, places: int) -> int:
+    """value * 16^places."""
+    return value << 4 * places
+
+
 class BiPoly:
     """Immutable sparse polynomial in x and y with integer coefficients."""
 
@@ -146,7 +172,7 @@ class BiPoly:
 
     def sorted_terms(self) -> Iterator[Tuple[Exponents, int]]:
         """Terms ordered by x-exponent descending, then y-exponent descending."""
-        for key in sorted(self._terms, key=lambda e: (-e[0], -e[1])):
+        for key in sorted(self._terms, reverse=True):
             yield key, self._terms[key]
 
     def __len__(self) -> int:
@@ -183,16 +209,12 @@ class BiPoly:
                 data[key] = acc
             else:
                 del data[key]
-        result = BiPoly.__new__(BiPoly)
-        result._terms = data
-        return result
+        return _canonical(data)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BiPoly":
-        result = BiPoly.__new__(BiPoly)
-        result._terms = {key: -c for key, c in self._terms.items()}
-        return result
+        return _canonical({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other: Scalar) -> "BiPoly":
         other = self._coerce(other)
@@ -253,12 +275,12 @@ class BiPoly:
             digits = coeff_bits * 30103 // 100000 + 1
             if slots * size >= _DECIMAL_MIN_BYTES and digits <= _DECIMAL_MAX_SLOT_DIGITS:
                 ctx = EXACT_CONTEXT
-                radix, parse, add, multiply, show = (
-                    10, ctx.create_decimal, ctx.add, ctx.multiply, ctx.to_sci_string)
+                radix, parse, add, multiply, show, shift = (
+                    10, ctx.create_decimal, ctx.add, ctx.multiply, ctx.to_sci_string, ctx.scaleb)
             else:
                 radix, digits = 16, (coeff_bits + 3) // 4
-                parse, add, multiply, show = (
-                    partial(int, base=16), operator.add, operator.mul, "{:x}".format)
+                parse, add, multiply, show, shift = (
+                    partial(int, base=16), operator.add, operator.mul, "{:x}".format, _shift_hex)
             packed_a = _pack(a, width, digits, radix, parse, add)
             packed_b = packed_a if a is b else _pack(b, width, digits, radix, parse, add)
             product = multiply(packed_a, packed_b)
@@ -268,7 +290,7 @@ class BiPoly:
             # string exactly 1 + slots * digits long, leading zeros included.
             # A slot that reads as the bias alone holds a zero coefficient.
             bias = str(radix // 2) + "0" * (digits - 1)
-            product = add(product, parse("1" + bias * slots))
+            product = add(product, _bias(bias, slots, parse, add, shift))
             text = show(product)
             del product
             half = int(bias, radix)
@@ -285,9 +307,7 @@ class BiPoly:
                         data[key] = acc
                     else:
                         del data[key]
-        result = BiPoly.__new__(BiPoly)
-        result._terms = data
-        return result
+        return _canonical(data)
 
     __rmul__ = __mul__
 
@@ -327,9 +347,7 @@ class BiPoly:
 
     def transpose(self) -> "BiPoly":
         """Swap x and y: the term (i, j) becomes (j, i)."""
-        result = BiPoly.__new__(BiPoly)
-        result._terms = {(j, i): c for (i, j), c in self._terms.items()}
-        return result
+        return _canonical({(j, i): c for (i, j), c in self._terms.items()})
 
     def diagonal(self) -> "BiPoly":
         """Substitute y = x, collapsing each term to a single variable."""
@@ -341,9 +359,7 @@ class BiPoly:
                 data[key] = acc
             else:
                 del data[key]
-        result = BiPoly.__new__(BiPoly)
-        result._terms = data
-        return result
+        return _canonical(data)
 
     def divide_exact_x_minus_1(self) -> "BiPoly":
         """Exact quotient by (x - 1), by synthetic division on each y-slice.
@@ -365,9 +381,7 @@ class BiPoly:
             remainder = coeffs.get(0, 0) + running
             if remainder:
                 raise ValueError(f"not divisible by (x - 1): remainder {remainder} at y^{j}")
-        result = BiPoly.__new__(BiPoly)
-        result._terms = data
-        return result
+        return _canonical(data)
 
     # -- serialization -----------------------------------------------------
 
@@ -380,7 +394,14 @@ class BiPoly:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
+        """``json.dumps(self.to_json_obj(), separators=(",", ":"))``, written
+        by one ``%`` format of the terms, in ``sorted_terms`` order, as a
+        flat tuple of (x, y, c) values, with no list of dicts."""
+        terms = self._terms
+        keys = sorted(terms, reverse=True)
+        values = tuple(value for key in keys for value in (*key, terms[key]))
+        form = ",".join(['{"x":%d,"y":%d,"c":"%d"}'] * len(keys))
+        return ('{"terms":[' + form + "]}") % values
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "BiPoly":
@@ -412,3 +433,11 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({self._terms!r})"
+
+
+def _canonical(terms: Dict[Exponents, int]) -> BiPoly:
+    """The polynomial that owns ``terms``, taken as it is: it must hold no
+    zero coefficient and no negative exponent, and must not be changed after."""
+    result = BiPoly.__new__(BiPoly)
+    result._terms = terms
+    return result

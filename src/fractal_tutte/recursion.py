@@ -6,11 +6,24 @@ of the remaining part after its guaranteed (x - 1) factor is pulled out.
 One step expresses the next pair in the four copies glued for the family;
 the full polynomial is reassembled as joined + (x - 1) * cofactor.
 
-One table holds each family's step as quartic forms in the pair, over any
-commutative ring; one rule, grouped by t^2 and c^2, runs it symbolically on
-polynomials and pointwise on the integer numerators of a rational point.
-The fractal's cofactor is its joined part with x and y swapped, so its
-symbolic step forms the joined part alone and transposes it.
+Each part of the next pair is a quartic form in the pair (t, c).  One table
+states, for each family, the products that form each part from t^2, t c and
+c^2, over any commutative ring; one rule runs it symbolically on polynomials
+and pointwise on the integer numerators of a rational point.  After t^2,
+t c and c^2, the parts take these quartic-size products:
+
+- fractal: joined = t^2 (y(y - 1) t^2 + 4y t c + 2(x + 1) c^2), and the
+  cofactor is the same with x and y swapped and t and c swapped;
+- flower22: joined = t^2 ((y - 1) t^2 + 4 t c + 2(x - 1) c^2), and the
+  cofactor is the square (2 t c + (x - 1) c^2)^2;
+- flower13: joined = (y - 1) (t^2)^2 + t c (4 t^2 + 3(x - 1) t c + (x - 1)^2 c^2),
+  and the cofactor is c^2 (3 t^2 + 3(x - 1) t c + (x - 1)^2 c^2).
+
+A square is formed as u * u on one object, which both radices of the
+packed polynomial product, and int multiplication, do faster than a
+product of two operands.  The fractal's cofactor is its joined part with x
+and y swapped, so its symbolic step forms the joined part alone and
+transposes it.
 """
 
 from __future__ import annotations
@@ -19,7 +32,7 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, _canonical
 from .errors import CapExceeded
 from .lattices import LatticeFamily, check_generation
 
@@ -54,66 +67,88 @@ class TuttePair(NamedTuple):
     cofactor: Union[BiPoly, Fraction]
 
     def assemble(self) -> BiPoly:
-        return self.joined + (BiPoly.x() - 1) * self.cofactor
+        """joined + (x - 1) * cofactor: each cofactor term c at (i, j) adds c
+        at (i + 1, j) and -c at (i, j) to a copy of the joined terms."""
+        terms = self.joined.terms()
+        for (i, j), c in self.cofactor.terms().items():
+            key = (i + 1, j)
+            total = terms.get(key, 0) + c
+            if total:
+                terms[key] = total
+            else:
+                del terms[key]
+            key = (i, j)
+            total = terms.get(key, 0) - c
+            if total:
+                terms[key] = total
+            else:
+                del terms[key]
+        return _canonical(terms)
 
 
-Form = Callable[[Ring, Ring, int], Tuple[Ring, ...]]
+# A product (scale, outer, inner) of a plan stands for scale * s * L, where L
+# is the linear form in (t^2, t c, c^2) with the coefficients inner, and s is
+# t^2, t c or c^2 by the index outer, or L itself if outer is None.
+Product = Tuple[Ring, Optional[int], Tuple[Ring, Ring, Ring]]
+Plan = Callable[[Ring, Ring, int], Tuple[Product, ...]]
 
-# The next joined part and cofactor are quartic forms in the pair (t, c):
-# each form gives their coefficients of t^4, t^3 c, t^2 c^2, t c^3 and c^4,
-# with 0 where a term is absent.  Each coefficient, of degree at most 2 in
-# (x, y), is written as a homogeneous quadratic in (x, y, d).  With d = 1 the
-# step is at (x, y), symbolic or not; with integers X, Y, D it maps
-# numerators over D^e to numerators over D^(4e + 2) at (X/D, Y/D).
+_T2, _TC, _C2 = 0, 1, 2
+
+# Each part of the next pair is a sum of products, stated by a plan: a
+# function of (x, y, d) that gives the products.  Every product's
+# coefficients in t^4, t^3 c, ..., c^4 are homogeneous quadratics in
+# (x, y, d).  With d = 1 the step is at (x, y), symbolic or not; with
+# integers X, Y, D it maps numerators over D^e to numerators over D^(4e + 2)
+# at (X/D, Y/D).
 #
-# Each family has a (joined, cofactor) pair of forms.  A cofactor form of
-# None stands for the dual of the joined form: x and y swapped, and t and c,
-# which reverses the coefficient tuple.  The fractal's two parts are dual in
-# this sense, and its step is stated once.
-_QUARTIC_FORMS: dict[LatticeFamily, Tuple[Form, Optional[Form]]] = {
+# Each family has a (joined, cofactor) pair of plans.  A cofactor plan of
+# None stands for the dual of the joined plan: x and y swapped, and t and c,
+# which swaps t^2 and c^2.  The fractal's two parts are dual in this sense,
+# and its step is stated once.
+_QUARTIC_FORMS: dict[LatticeFamily, Tuple[Plan, Optional[Plan]]] = {
     LatticeFamily.FRACTAL: (
-        lambda x, y, d: (y * (y - d), 4 * y * d, 2 * (x + d) * d, 0, 0),
+        lambda x, y, d: ((1, _T2, (y * (y - d), 4 * y * d, 2 * (x + d) * d)),),
         None),
     LatticeFamily.FLOWER22: (
-        lambda x, y, d: ((y - d) * d, 4 * d * d, 2 * (x - d) * d, 0, 0),
-        lambda x, y, d: (0, 0, 4 * d * d, 4 * (x - d) * d, (x - d) * (x - d))),
+        lambda x, y, d: ((1, _T2, ((y - d) * d, 4 * d * d, 2 * (x - d) * d)),),
+        lambda x, y, d: ((1, None, (0, 2 * d, x - d)),)),
     LatticeFamily.FLOWER13: (
-        lambda x, y, d: ((y - d) * d, 4 * d * d, 3 * (x - d) * d, (x - d) * (x - d), 0),
-        lambda x, y, d: (0, 0, 3 * d * d, 3 * (x - d) * d, (x - d) * (x - d))),
+        lambda x, y, d: (((y - d) * d, None, (1, 0, 0)),
+                         (1, _TC, (4 * d * d, 3 * (x - d) * d, (x - d) * (x - d)))),
+        lambda x, y, d: ((1, _C2, (3 * d * d, 3 * (x - d) * d, (x - d) * (x - d))),)),
 }
 
 
-def _forms(family: LatticeFamily, x: Ring, y: Ring,
-           d: int) -> Tuple[Tuple[Ring, ...], Tuple[Ring, ...]]:
-    """The coefficients of the family's joined and cofactor forms at (x, y, d)."""
-    joined, cofactor = _QUARTIC_FORMS[family]
-    return joined(x, y, d), (cofactor(x, y, d) if cofactor else joined(y, x, d)[::-1])
-
-
-def _quartic(form: Tuple[Ring, ...], t2: Ring, tc: Ring, c2: Ring) -> Ring:
-    """a0 t^4 + a1 t^3 c + a2 t^2 c^2 + a3 t c^3 + a4 c^4 from t^2, t c and c^2,
-    summed as t^2 (a0 t^2 + a1 t c + a2 c^2) + c^2 (a3 t c + a4 c^2), the a2
-    term going to the c^2 group if that is nonempty: one quartic-size
-    product per nonempty group."""
-    a0, a1, a2, a3, a4 = form
-    c2_used = a3 or a4
-    total = 0
-    for square, terms in ((t2, ((a0, t2), (a1, tc), (0 if c2_used else a2, c2))),
-                          (c2, ((a2 if c2_used else 0, t2), (a3, tc), (a4, c2)))):
-        group = None
-        for a, u in terms:
+def _quartic(products: Tuple[Product, ...], quadratics: Tuple[Ring, Ring, Ring]) -> Ring:
+    """The sum of the products at quadratics = (t^2, t c, c^2), one
+    multiplication each; a product whose scale or linear form vanishes is
+    skipped."""
+    total = None
+    for scale, outer, inner in products:
+        if not scale:
+            continue
+        form = None
+        for a, u in zip(inner, quadratics):
             if a:
-                group = a * u if group is None else group + a * u
-        if group is not None:
-            total = total + square * group
-    return total
+                u = u if a == 1 else a * u
+                form = u if form is None else form + u
+        if form is None:
+            continue
+        term = form * (form if outer is None else quadratics[outer])
+        if scale != 1:
+            term = scale * term
+        total = term if total is None else total + term
+    return 0 if total is None else total
 
 
 def _rule(family: LatticeFamily, t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
-    """The next (joined, cofactor) from the pair (t, c), each part formed on its own."""
-    t2, c2, tc = t * t, c * c, t * c
-    joined, cofactor = _forms(family, x, y, d)
-    return _quartic(joined, t2, tc, c2), _quartic(cofactor, t2, tc, c2)
+    """The next (joined, cofactor) from the pair (t, c), each part formed on
+    its own; a dual cofactor is the joined plan at (y, x) on (c^2, t c, t^2)."""
+    quadratics = (t * t, t * c, c * c)
+    joined, cofactor = _QUARTIC_FORMS[family]
+    if cofactor is None:
+        return _quartic(joined(x, y, d), quadratics), _quartic(joined(y, x, d), quadratics[::-1])
+    return _quartic(joined(x, y, d), quadratics), _quartic(cofactor(x, y, d), quadratics)
 
 
 def initial_pair() -> TuttePair:
@@ -125,9 +160,9 @@ def step(family: LatticeFamily, pair: TuttePair) -> TuttePair:
     """One symbolic generation step.  It has no cap: starting from
     initial_pair() and stepping n times runs past SYMBOLIC_GENERATION_CAP.
 
-    When the family's cofactor form is the dual of its joined form and the
+    When the family's cofactor plan is the dual of its joined plan and the
     cofactor is the joined part with x and y swapped, as for initial_pair(),
-    the next pair is dual too, since swapping x and y maps one form onto the
+    the next pair is dual too, since swapping x and y maps one plan onto the
     other.  Then only the joined part is formed, from t^2, t c and
     c^2 = (t^2) transposed, and the next cofactor is its transpose.
     """
@@ -136,7 +171,7 @@ def step(family: LatticeFamily, pair: TuttePair) -> TuttePair:
     joined_form, cofactor_form = _QUARTIC_FORMS[family]
     if cofactor_form is None and c == t.transpose():
         t2 = t * t
-        joined = _quartic(joined_form(x, y, 1), t2, t * c, t2.transpose())
+        joined = _quartic(joined_form(x, y, 1), (t2, t * c, t2.transpose()))
         return TuttePair(joined, joined.transpose())
     return TuttePair(*_rule(family, t, c, x, y, 1))
 

@@ -2,13 +2,16 @@
 
 import contextlib
 import decimal
+import json
+import operator
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fractal_tutte import bipoly
@@ -461,6 +464,46 @@ class TestJson:
     @given(bipolys())
     def test_roundtrip_identity(self, a):
         assert BiPoly.from_json(a.to_json()) == a
+
+
+class TestJsonWriter:
+    """to_json writes in one pass the text json.dumps makes of to_json_obj."""
+
+    @given(st.dictionaries(
+        st.tuples(st.integers(0, 30), st.integers(0, 30)),
+        st.one_of(st.integers(-99, 99),
+                  # past 2^64, and within the least int-to-str digit limit
+                  st.integers(-(2 ** 1900), 2 ** 1900).filter(lambda c: abs(c) > 2 ** 64)),
+        max_size=40))
+    @example({})
+    @example({(0, 0): 1})
+    @example({(7, 3): -(2 ** 64 + 1)})
+    def test_equals_json_dumps_of_the_object(self, terms):
+        a = BiPoly(terms)
+        assert a.to_json() == json.dumps(a.to_json_obj(), separators=(",", ":"))
+
+
+class TestBias:
+    """The slot bias of a packed product, built by doubling, is the number
+    its digit string "1" + bias * slots stands for."""
+
+    # (first bias digit, parse, add, shift, digits of a value)
+    RADICES = {
+        "int": ("8", partial(int, base=16), operator.add, bipoly._shift_hex, "{:x}".format),
+        "decimal": ("5", bipoly.EXACT_CONTEXT.create_decimal, bipoly.EXACT_CONTEXT.add,
+                    bipoly.EXACT_CONTEXT.scaleb, bipoly.EXACT_CONTEXT.to_sci_string),
+    }
+
+    @pytest.mark.parametrize("radix", sorted(RADICES))
+    @pytest.mark.parametrize("digits", [1, 2, 640])
+    @pytest.mark.parametrize("slots", [1, 2, 3, 7, 8, 9, 1023, 1024, 1025])
+    def test_doubling_equals_the_parsed_string(self, radix, digits, slots):
+        lead, parse, add, shift, show = self.RADICES[radix]
+        bias = lead + "0" * (digits - 1)
+        built = bipoly._bias(bias, slots, parse, add, shift)
+        assert built == parse("1" + bias * slots)
+        # The digits too: a decimal bias keeps exponent 0, as the product has.
+        assert show(built) == "1" + bias * slots
 
 
 class TestDisplay:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from fractal_tutte import checks, invariants, lattices, oracle, recursion
+from fractal_tutte import checks, cli, invariants, lattices, oracle, recursion
 from fractal_tutte.cli import _DECIMAL_PIECE_BITS, _decimal, main
 from fractal_tutte.lattices import LatticeFamily, build_lattice, lattice_counts, to_edge_list
 from helpers import context_settings
@@ -117,10 +117,24 @@ class TestTutte:
         )
         assert recursive == via_oracle
 
+    @pytest.mark.parametrize("family", ("fractal", "flower22", "flower13"))
+    def test_oracle_mode_matches_recursive_at_its_cap(self, capsys, family):
+        # Oracle mode runs the elimination alone, not the deletion-contraction
+        # gates, so its cap is its own.
+        n = str(cli.ORACLE_MODE_GENERATION_CAP)
+        assert n == "3"
+        _, recursive, _ = run(capsys, "tutte", "--family", family, "--n", n)
+        code, via_oracle, _ = run(capsys, "tutte", "--family", family, "--n", n,
+                                  "--mode", "oracle")
+        assert code == 0
+        assert recursive == via_oracle
+
     def test_oracle_mode_generation_cap(self, capsys):
+        start = time.perf_counter()
         code, out, err = run(
-            capsys, "tutte", "--family", "fractal", "--n", "3", "--mode", "oracle"
+            capsys, "tutte", "--family", "fractal", "--n", "4", "--mode", "oracle"
         )
+        assert time.perf_counter() - start < 0.5
         assert code == 3
         assert out == ""
         assert "resource cap" in err
@@ -509,8 +523,8 @@ class TestVerify:
         assert cofactor is None
 
         def broken(x, y, d):
-            joined = original(x, y, d)
-            return (joined[0] + d * d,) + joined[1:]
+            # d^2 (t^2)^2 more in the joined part.
+            return original(x, y, d) + ((d * d, None, (1, 0, 0)),)
 
         monkeypatch.setitem(recursion._QUARTIC_FORMS, LatticeFamily.FRACTAL, (broken, None))
         code, out, err = run(capsys, "verify", "--n-max", "1")

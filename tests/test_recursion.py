@@ -70,6 +70,46 @@ class TestSingleStep:
         assert pair.cofactor == X * X + X + 1
 
 
+# Each family's step as a plain quartic: the next joined part and cofactor
+# as sum a_k t^(4 - k) c^k, each a_k a homogeneous quadratic in (x, y, d).
+# The plans of recursion._QUARTIC_FORMS must expand to these.
+PLAIN_FORMS = {
+    LatticeFamily.FRACTAL: (
+        lambda x, y, d: (y * (y - d), 4 * y * d, 2 * (x + d) * d, 0, 0),
+        lambda x, y, d: (0, 0, 2 * (y + d) * d, 4 * x * d, x * (x - d))),
+    LatticeFamily.FLOWER22: (
+        lambda x, y, d: ((y - d) * d, 4 * d * d, 2 * (x - d) * d, 0, 0),
+        lambda x, y, d: (0, 0, 4 * d * d, 4 * (x - d) * d, (x - d) * (x - d))),
+    LatticeFamily.FLOWER13: (
+        lambda x, y, d: ((y - d) * d, 4 * d * d, 3 * (x - d) * d, (x - d) * (x - d), 0),
+        lambda x, y, d: (0, 0, 3 * d * d, 3 * (x - d) * d, (x - d) * (x - d))),
+}
+
+
+def plain_forms(family, x, y, d):
+    return tuple(form(x, y, d) for form in PLAIN_FORMS[family])
+
+
+def expanded(products):
+    """The coefficients a_0..a_4 of a plan's sum of products."""
+    coefficients = [0] * 5
+    for scale, outer, inner in products:
+        left = inner if outer is None else [int(k == outer) for k in range(3)]
+        for p, a in enumerate(left):
+            for q, b in enumerate(inner):
+                coefficients[p + q] += scale * a * b
+    return tuple(coefficients)
+
+
+def planned_forms(family, x, y, d):
+    """The coefficients of each part as the family's plans give them; a dual
+    cofactor is the joined plan at (y, x) with t and c swapped."""
+    joined, cofactor = recursion._QUARTIC_FORMS[family]
+    if cofactor is None:
+        return expanded(joined(x, y, d)), expanded(joined(y, x, d))[::-1]
+    return expanded(joined(x, y, d)), expanded(cofactor(x, y, d))
+
+
 class TestQuarticForms:
     def test_coefficients_are_homogeneous_quadratics(self):
         # The pointwise recursion takes numerators over D^e to numerators
@@ -80,39 +120,48 @@ class TestQuarticForms:
             for _ in range(50):
                 big_x, big_y = rng.randint(-99, 99), rng.randint(-99, 99)
                 d, k = rng.randint(1, 99), rng.randint(-9, 9)
-                scaled = recursion._forms(family, k * big_x, k * big_y, k * d)
-                for part, scaled_part in zip(recursion._forms(family, big_x, big_y, d), scaled):
-                    assert len(part) == len(scaled_part) == 5, family
-                    assert list(scaled_part) == [k * k * a for a in part], family
+                scaled = planned_forms(family, k * big_x, k * big_y, k * d)
+                for part, scaled_part in zip(planned_forms(family, big_x, big_y, d), scaled):
+                    assert scaled_part == tuple(k * k * a for a in part), family
+
+    @pytest.mark.parametrize("family", list(LatticeFamily))
+    def test_plans_expand_to_the_plain_quartics(self, family):
+        rng = random.Random(2236)
+        for _ in range(100):
+            d = rng.randint(1, 99)
+            big_x = rng.choice([d, rng.randint(-99, 99)])
+            big_y = rng.choice([d, rng.randint(-99, 99)])
+            assert (planned_forms(family, big_x, big_y, d)
+                    == plain_forms(family, big_x, big_y, d))
 
     def test_fractal_cofactor_form_is_the_dual_of_its_joined_form(self):
-        # The fractal states its joined form alone; the dual must give the
+        # The fractal states its joined plan alone; the dual must give the
         # cofactor form (0, 0, 2 (y + d) d, 4 x d, x (x - d)).
         assert recursion._QUARTIC_FORMS[LatticeFamily.FRACTAL][1] is None
         rng = random.Random(1729)
         for _ in range(50):
             x, y, d = rng.randint(-99, 99), rng.randint(-99, 99), rng.randint(1, 99)
-            _, cofactor = recursion._forms(LatticeFamily.FRACTAL, x, y, d)
+            _, cofactor = planned_forms(LatticeFamily.FRACTAL, x, y, d)
             assert cofactor == (0, 0, 2 * (y + d) * d, 4 * x * d, x * (x - d))
 
 
 def quartic_sums(family, t, c, x, y, d):
-    """(joined, cofactor) as sum a_k t^(4 - k) c^k, straight from the table."""
+    """(joined, cofactor) as sum a_k t^(4 - k) c^k, from the plain quartics."""
     return tuple(sum((a * t ** (4 - k) * c ** k for k, a in enumerate(part)), 0)
-                 for part in recursion._forms(family, x, y, d))
+                 for part in plain_forms(family, x, y, d))
 
 
 class CountingRing:
     """An int that counts products of two CountingRing operands, that is of
-    the pair and what is made from it; a product by a plain-int coefficient
-    is not counted."""
+    the pair and what is made from it, recording for each whether it
+    squares one object; a product by a plain-int coefficient is not counted."""
 
     def __init__(self, value, counter):
         self.value, self.counter = value, counter
 
     def __mul__(self, other):
         if isinstance(other, CountingRing):
-            self.counter.append(1)
+            self.counter.append(other is self)
             other = other.value
         return CountingRing(self.value * other, self.counter)
 
@@ -153,15 +202,29 @@ class TestRule:
             for x, y, d in ((X, Y, 1), (X, Y, 3), (X, BiPoly.one(), 1), (BiPoly.one(), Y, 1)):
                 assert recursion._rule(family, t, c, x, y, d) == quartic_sums(family, t, c, x, y, d)
 
-    @pytest.mark.parametrize("family, products", [
-        (LatticeFamily.FRACTAL, 5), (LatticeFamily.FLOWER22, 5), (LatticeFamily.FLOWER13, 6)])
-    def test_products_of_pair_sized_operands(self, family, products):
-        # t^2, c^2 and t c, then one product per nonempty group of each form.
+    @pytest.mark.parametrize("family, products, squares", [
+        (LatticeFamily.FRACTAL, 5, 2), (LatticeFamily.FLOWER22, 5, 3),
+        (LatticeFamily.FLOWER13, 6, 3)])
+    def test_products_of_pair_sized_operands(self, family, products, squares):
+        # t^2, c^2 and t c, then each part's planned products; t^2, c^2, the
+        # flower22 cofactor and the flower13 (t^2)^2 square one object.
         counter = []
         t, c = CountingRing(11, counter), CountingRing(-13, counter)
         joined, cofactor = recursion._rule(family, t, c, 5, 7, 3)
         assert len(counter) == products
+        assert sum(counter) == squares
         assert (joined.value, cofactor.value) == quartic_sums(family, 11, -13, 5, 7, 3)
+
+    @pytest.mark.parametrize("family", list(LatticeFamily))
+    def test_matches_quartic_sums_at_generation_three(self, family, symbolic_n3):
+        # The 3 -> 4 step's products are packed, most on decimal slots.
+        t, c = symbolic_n3[family]
+        assert recursion._rule(family, t, c, X, Y, 1) == quartic_sums(family, t, c, X, Y, 1)
+
+    def test_dual_step_is_both_parts_of_the_rule(self, symbolic_n3):
+        family = LatticeFamily.FRACTAL
+        for pair in [tutte_pair(family, n) for n in range(3)] + [symbolic_n3[family]]:
+            assert step(family, pair) == recursion._rule(family, *pair, X, Y, 1)
 
 
 class TestSymbolicStep:
