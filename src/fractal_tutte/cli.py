@@ -120,10 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_n: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--family", type=_family, required=True)
-        if with_n:
-            p.add_argument("--n", type=_nonnegative, required=True)
+        p.add_argument("--n", type=_nonnegative, required=True)
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
     p_gen = sub.add_parser("gen", help="emit a lattice generation as a graph")

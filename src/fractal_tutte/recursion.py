@@ -6,9 +6,9 @@ of the remaining part after its guaranteed (x - 1) factor is pulled out.
 One step expresses the next pair in the four copies glued for the family;
 the full polynomial is reassembled as joined + (x - 1) * cofactor.
 
-Each part of the next pair is a quartic form in the pair (t, c).  One table
-states, for each family, the products that form each part from t^2, t c and
-c^2, over any commutative ring; one rule runs it symbolically on polynomials
+Each part of the next pair is a quartic form in the pair (t, c).  One plain
+function per family forms both parts from t^2, t c and c^2 over any
+commutative ring, so the same arithmetic runs symbolically on polynomials
 and pointwise on the integer numerators of a rational point.  After t^2,
 t c and c^2, the parts take these quartic-size products:
 
@@ -17,7 +17,8 @@ t c and c^2, the parts take these quartic-size products:
 - flower22: joined = t^2 ((y - 1) t^2 + 4 t c + 2(x - 1) c^2), and the
   cofactor is the square (2 t c + (x - 1) c^2)^2;
 - flower13: joined = (y - 1) (t^2)^2 + t c (4 t^2 + 3(x - 1) t c + (x - 1)^2 c^2),
-  and the cofactor is c^2 (3 t^2 + 3(x - 1) t c + (x - 1)^2 c^2).
+  and the cofactor is c^2 (3 t^2 + 3(x - 1) t c + (x - 1)^2 c^2); on y = 1
+  the square (t^2)^2 is not formed.
 
 A square is formed as u * u on one object, which both radices of the
 packed polynomial product, and int multiplication, do faster than a
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Tuple, Union
+from typing import Callable, NamedTuple, Tuple, Union
 
 from .bipoly import BiPoly, _canonical
 from .errors import CapExceeded
@@ -86,69 +87,42 @@ class TuttePair(NamedTuple):
         return _canonical(terms)
 
 
-# A product (scale, outer, inner) of a plan stands for scale * s * L, where L
-# is the linear form in (t^2, t c, c^2) with the coefficients inner, and s is
-# t^2, t c or c^2 by the index outer, or L itself if outer is None.
-Product = Tuple[Ring, Optional[int], Tuple[Ring, Ring, Ring]]
-Plan = Callable[[Ring, Ring, int], Tuple[Product, ...]]
+# One function per family forms the next (joined, cofactor) from t^2, t c
+# and c^2.  The scalars are polynomials in (x, y, d): with d = 1 the step is
+# at (x, y), symbolic or not; with integers X, Y, D every coefficient is a
+# homogeneous quadratic in (X, Y, D), so the step maps numerators over D^e
+# to numerators over D^(4e + 2) at (X/D, Y/D).  Each scalar is formed before
+# it meets a pair-sized operand.
 
-_T2, _TC, _C2 = 0, 1, 2
+def _fractal(t2: Ring, tc: Ring, c2: Ring, x: Ring, y: Ring, d: int) -> Ring:
+    """The fractal's joined part; its cofactor is _fractal(c2, tc, t2, y, x, d)."""
+    return t2 * (y * (y - d) * t2 + 4 * y * d * tc + 2 * (x + d) * d * c2)
 
-# Each part of the next pair is a sum of products, stated by a plan: a
-# function of (x, y, d) that gives the products.  Every product's
-# coefficients in t^4, t^3 c, ..., c^4 are homogeneous quadratics in
-# (x, y, d).  With d = 1 the step is at (x, y), symbolic or not; with
-# integers X, Y, D it maps numerators over D^e to numerators over D^(4e + 2)
-# at (X/D, Y/D).
-#
-# Each family has a (joined, cofactor) pair of plans.  A cofactor plan of
-# None stands for the dual of the joined plan: x and y swapped, and t and c,
-# which swaps t^2 and c^2.  The fractal's two parts are dual in this sense,
-# and its step is stated once.
-_QUARTIC_FORMS: dict[LatticeFamily, Tuple[Plan, Optional[Plan]]] = {
-    LatticeFamily.FRACTAL: (
-        lambda x, y, d: ((1, _T2, (y * (y - d), 4 * y * d, 2 * (x + d) * d)),),
-        None),
-    LatticeFamily.FLOWER22: (
-        lambda x, y, d: ((1, _T2, ((y - d) * d, 4 * d * d, 2 * (x - d) * d)),),
-        lambda x, y, d: ((1, None, (0, 2 * d, x - d)),)),
-    LatticeFamily.FLOWER13: (
-        lambda x, y, d: (((y - d) * d, None, (1, 0, 0)),
-                         (1, _TC, (4 * d * d, 3 * (x - d) * d, (x - d) * (x - d)))),
-        lambda x, y, d: ((1, _C2, (3 * d * d, 3 * (x - d) * d, (x - d) * (x - d))),)),
+
+def _flower22(t2: Ring, tc: Ring, c2: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
+    square = 2 * d * tc + (x - d) * c2
+    return t2 * ((y - d) * d * t2 + 4 * d * d * tc + 2 * (x - d) * d * c2), square * square
+
+
+def _flower13(t2: Ring, tc: Ring, c2: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
+    x1 = x - d
+    joined = tc * (4 * d * d * t2 + 3 * x1 * d * tc + x1 * x1 * c2)
+    if y != d:  # on y = 1 the quartic-size square (t^2)^2 drops out
+        joined = (y - d) * d * (t2 * t2) + joined
+    return joined, c2 * (3 * d * d * t2 + 3 * x1 * d * tc + x1 * x1 * c2)
+
+
+_STEPS: dict[LatticeFamily, Callable[..., Tuple[Ring, Ring]]] = {
+    LatticeFamily.FRACTAL: lambda t2, tc, c2, x, y, d: (
+        _fractal(t2, tc, c2, x, y, d), _fractal(c2, tc, t2, y, x, d)),
+    LatticeFamily.FLOWER22: _flower22,
+    LatticeFamily.FLOWER13: _flower13,
 }
 
 
-def _quartic(products: Tuple[Product, ...], quadratics: Tuple[Ring, Ring, Ring]) -> Ring:
-    """The sum of the products at quadratics = (t^2, t c, c^2), one
-    multiplication each; a product whose scale or linear form vanishes is
-    skipped."""
-    total = None
-    for scale, outer, inner in products:
-        if not scale:
-            continue
-        form = None
-        for a, u in zip(inner, quadratics):
-            if a:
-                u = u if a == 1 else a * u
-                form = u if form is None else form + u
-        if form is None:
-            continue
-        term = form * (form if outer is None else quadratics[outer])
-        if scale != 1:
-            term = scale * term
-        total = term if total is None else total + term
-    return 0 if total is None else total
-
-
 def _rule(family: LatticeFamily, t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
-    """The next (joined, cofactor) from the pair (t, c), each part formed on
-    its own; a dual cofactor is the joined plan at (y, x) on (c^2, t c, t^2)."""
-    quadratics = (t * t, t * c, c * c)
-    joined, cofactor = _QUARTIC_FORMS[family]
-    if cofactor is None:
-        return _quartic(joined(x, y, d), quadratics), _quartic(joined(y, x, d), quadratics[::-1])
-    return _quartic(joined(x, y, d), quadratics), _quartic(cofactor(x, y, d), quadratics)
+    """The next (joined, cofactor) from the pair (t, c), each part formed on its own."""
+    return _STEPS[family](t * t, t * c, c * c, x, y, d)
 
 
 def initial_pair() -> TuttePair:
@@ -160,18 +134,16 @@ def step(family: LatticeFamily, pair: TuttePair) -> TuttePair:
     """One symbolic generation step.  It has no cap: starting from
     initial_pair() and stepping n times runs past SYMBOLIC_GENERATION_CAP.
 
-    When the family's cofactor plan is the dual of its joined plan and the
-    cofactor is the joined part with x and y swapped, as for initial_pair(),
-    the next pair is dual too, since swapping x and y maps one plan onto the
-    other.  Then only the joined part is formed, from t^2, t c and
-    c^2 = (t^2) transposed, and the next cofactor is its transpose.
+    Swapping x and y, and t and c, swaps the fractal's two parts.  So a
+    fractal pair whose cofactor is its joined part transposed, as
+    initial_pair() is, steps to such a pair: only the joined part is formed,
+    from t^2, t c and c^2 = (t^2) transposed, and the cofactor is its transpose.
     """
     t, c = pair
     x, y = BiPoly.x(), BiPoly.y()
-    joined_form, cofactor_form = _QUARTIC_FORMS[family]
-    if cofactor_form is None and c == t.transpose():
+    if family is LatticeFamily.FRACTAL and c == t.transpose():
         t2 = t * t
-        joined = _quartic(joined_form(x, y, 1), (t2, t * c, t2.transpose()))
+        joined = _fractal(t2, t * c, t2.transpose(), x, y, 1)
         return TuttePair(joined, joined.transpose())
     return TuttePair(*_rule(family, t, c, x, y, 1))
 

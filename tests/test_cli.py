@@ -518,15 +518,14 @@ class TestVerify:
             checks.run_gates(n_max)
 
     def test_detects_a_mutated_step_rule(self, capsys, monkeypatch):
-        # The fractal states one form; its cofactor form is the dual of it.
-        original, cofactor = recursion._QUARTIC_FORMS[LatticeFamily.FRACTAL]
-        assert cofactor is None
+        # The fractal states its joined part once; its cofactor is the dual.
+        original = recursion._fractal
 
-        def broken(x, y, d):
+        def broken(t2, tc, c2, x, y, d):
             # d^2 (t^2)^2 more in the joined part.
-            return original(x, y, d) + ((d * d, None, (1, 0, 0)),)
+            return original(t2, tc, c2, x, y, d) + d * d * (t2 * t2)
 
-        monkeypatch.setitem(recursion._QUARTIC_FORMS, LatticeFamily.FRACTAL, (broken, None))
+        monkeypatch.setattr(recursion, "_fractal", broken)
         code, out, err = run(capsys, "verify", "--n-max", "1")
         assert code == 1
         assert "FAIL" in out

@@ -72,7 +72,7 @@ class TestSingleStep:
 
 # Each family's step as a plain quartic: the next joined part and cofactor
 # as sum a_k t^(4 - k) c^k, each a_k a homogeneous quadratic in (x, y, d).
-# The plans of recursion._QUARTIC_FORMS must expand to these.
+# The step functions of recursion._STEPS must sum to these.
 PLAIN_FORMS = {
     LatticeFamily.FRACTAL: (
         lambda x, y, d: (y * (y - d), 4 * y * d, 2 * (x + d) * d, 0, 0),
@@ -90,59 +90,30 @@ def plain_forms(family, x, y, d):
     return tuple(form(x, y, d) for form in PLAIN_FORMS[family])
 
 
-def expanded(products):
-    """The coefficients a_0..a_4 of a plan's sum of products."""
-    coefficients = [0] * 5
-    for scale, outer, inner in products:
-        left = inner if outer is None else [int(k == outer) for k in range(3)]
-        for p, a in enumerate(left):
-            for q, b in enumerate(inner):
-                coefficients[p + q] += scale * a * b
-    return tuple(coefficients)
-
-
-def planned_forms(family, x, y, d):
-    """The coefficients of each part as the family's plans give them; a dual
-    cofactor is the joined plan at (y, x) with t and c swapped."""
-    joined, cofactor = recursion._QUARTIC_FORMS[family]
-    if cofactor is None:
-        return expanded(joined(x, y, d)), expanded(joined(y, x, d))[::-1]
-    return expanded(joined(x, y, d)), expanded(cofactor(x, y, d))
-
-
 class TestQuarticForms:
     def test_coefficients_are_homogeneous_quadratics(self):
         # The pointwise recursion takes numerators over D^e to numerators
-        # over D^(4e + 2) only if scaling (X, Y, D) by k scales every
-        # coefficient by k^2.
+        # over D^(4e + 2) only if scaling (X, Y, D) by k scales both parts
+        # of the step by k^2.
         rng = random.Random(2718)
         for family in LatticeFamily:
             for _ in range(50):
                 big_x, big_y = rng.randint(-99, 99), rng.randint(-99, 99)
                 d, k = rng.randint(1, 99), rng.randint(-9, 9)
-                scaled = planned_forms(family, k * big_x, k * big_y, k * d)
-                for part, scaled_part in zip(planned_forms(family, big_x, big_y, d), scaled):
-                    assert scaled_part == tuple(k * k * a for a in part), family
-
-    @pytest.mark.parametrize("family", list(LatticeFamily))
-    def test_plans_expand_to_the_plain_quartics(self, family):
-        rng = random.Random(2236)
-        for _ in range(100):
-            d = rng.randint(1, 99)
-            big_x = rng.choice([d, rng.randint(-99, 99)])
-            big_y = rng.choice([d, rng.randint(-99, 99)])
-            assert (planned_forms(family, big_x, big_y, d)
-                    == plain_forms(family, big_x, big_y, d))
+                t, c = rng.randint(-10 ** 6, 10 ** 6), rng.randint(-10 ** 6, 10 ** 6)
+                scaled = recursion._rule(family, t, c, k * big_x, k * big_y, k * d)
+                for part, scaled_part in zip(recursion._rule(family, t, c, big_x, big_y, d), scaled):
+                    assert scaled_part == k * k * part, family
 
     def test_fractal_cofactor_form_is_the_dual_of_its_joined_form(self):
-        # The fractal states its joined plan alone; the dual must give the
-        # cofactor form (0, 0, 2 (y + d) d, 4 x d, x (x - d)).
-        assert recursion._QUARTIC_FORMS[LatticeFamily.FRACTAL][1] is None
+        # The fractal states its joined part alone; at (y, x) with t and c
+        # swapped it must give the cofactor.
         rng = random.Random(1729)
         for _ in range(50):
             x, y, d = rng.randint(-99, 99), rng.randint(-99, 99), rng.randint(1, 99)
-            _, cofactor = planned_forms(LatticeFamily.FRACTAL, x, y, d)
-            assert cofactor == (0, 0, 2 * (y + d) * d, 4 * x * d, x * (x - d))
+            t, c = rng.randint(-10 ** 6, 10 ** 6), rng.randint(-10 ** 6, 10 ** 6)
+            _, cofactor = recursion._rule(LatticeFamily.FRACTAL, t, c, x, y, d)
+            assert cofactor == recursion._rule(LatticeFamily.FRACTAL, c, t, y, x, d)[0]
 
 
 def quartic_sums(family, t, c, x, y, d):
@@ -202,18 +173,25 @@ class TestRule:
             for x, y, d in ((X, Y, 1), (X, Y, 3), (X, BiPoly.one(), 1), (BiPoly.one(), Y, 1)):
                 assert recursion._rule(family, t, c, x, y, d) == quartic_sums(family, t, c, x, y, d)
 
-    @pytest.mark.parametrize("family, products, squares", [
-        (LatticeFamily.FRACTAL, 5, 2), (LatticeFamily.FLOWER22, 5, 3),
-        (LatticeFamily.FLOWER13, 6, 3)])
-    def test_products_of_pair_sized_operands(self, family, products, squares):
-        # t^2, c^2 and t c, then each part's planned products; t^2, c^2, the
+    @pytest.mark.parametrize("family, point, products, squares", [
+        (LatticeFamily.FRACTAL, (5, 7, 3), 5, 2), (LatticeFamily.FLOWER22, (5, 7, 3), 5, 3),
+        (LatticeFamily.FLOWER13, (5, 7, 3), 6, 3),
+        # Y = D: the flower13 (t^2)^2 would only be multiplied by 0.
+        (LatticeFamily.FRACTAL, (5, 3, 3), 5, 2), (LatticeFamily.FLOWER22, (5, 3, 3), 5, 3),
+        (LatticeFamily.FLOWER13, (5, 3, 3), 5, 2),
+        # X = D: a vanishing scalar still meets its product.
+        (LatticeFamily.FRACTAL, (3, 7, 3), 5, 2), (LatticeFamily.FLOWER22, (3, 7, 3), 5, 3),
+        (LatticeFamily.FLOWER13, (3, 7, 3), 6, 3)],
+        ids=lambda v: v.value if isinstance(v, LatticeFamily) else str(v).replace(" ", ""))
+    def test_products_of_pair_sized_operands(self, family, point, products, squares):
+        # t^2, c^2 and t c, then each part's own products; t^2, c^2, the
         # flower22 cofactor and the flower13 (t^2)^2 square one object.
         counter = []
         t, c = CountingRing(11, counter), CountingRing(-13, counter)
-        joined, cofactor = recursion._rule(family, t, c, 5, 7, 3)
+        joined, cofactor = recursion._rule(family, t, c, *point)
         assert len(counter) == products
         assert sum(counter) == squares
-        assert (joined.value, cofactor.value) == quartic_sums(family, 11, -13, 5, 7, 3)
+        assert (joined.value, cofactor.value) == quartic_sums(family, 11, -13, *point)
 
     @pytest.mark.parametrize("family", list(LatticeFamily))
     def test_matches_quartic_sums_at_generation_three(self, family, symbolic_n3):
@@ -498,8 +476,7 @@ class TestCaps:
 
         def no_step(*args):
             raise Stepped
-        monkeypatch.setattr(recursion, "_QUARTIC_FORMS",
-                            dict.fromkeys(LatticeFamily, (no_step, no_step)))
+        monkeypatch.setattr(recursion, "_STEPS", dict.fromkeys(LatticeFamily, no_step))
         for point in [(Fraction(1, 2 ** 24 + 1), 2), (2 ** 24 + 1, 2), (1, -2 ** 24 - 1)]:
             with pytest.raises(CapExceeded):
                 tutte_eval(LatticeFamily.FRACTAL, 10, *point)
