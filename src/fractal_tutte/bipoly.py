@@ -21,11 +21,10 @@ several times faster at millions of bits.  Decimal arithmetic runs only in
 from __future__ import annotations
 
 import decimal
-import json
 import operator
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Dict, Iterable, Iterator, Tuple, Union
+from typing import Callable, Dict, Iterator, Tuple, Union
 
 Exponents = Tuple[int, int]
 Scalar = Union[int, "BiPoly"]
@@ -114,19 +113,14 @@ class BiPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Union[Dict[Exponents, int], Iterable[Tuple[Exponents, int]], None] = None):
+    def __init__(self, terms: Union[Dict[Exponents, int], None] = None):
         data: Dict[Exponents, int] = {}
         if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for (i, j), c in items:
+            for (i, j), c in terms.items():
                 if i < 0 or j < 0:
                     raise ValueError(f"negative exponent pair ({i}, {j})")
                 if c:
-                    acc = data.get((i, j), 0) + c
-                    if acc:
-                        data[(i, j)] = acc
-                    else:
-                        data.pop((i, j), None)
+                    data[i, j] = c
         self._terms = data
 
     # -- constructors ------------------------------------------------------
@@ -152,9 +146,6 @@ class BiPoly:
         return cls({(0, 1): 1})
 
     # -- inspection --------------------------------------------------------
-
-    def coefficient(self, i: int, j: int) -> int:
-        return self._terms.get((i, j), 0)
 
     @property
     def deg_x(self) -> int:
@@ -349,68 +340,17 @@ class BiPoly:
         """Swap x and y: the term (i, j) becomes (j, i)."""
         return _canonical({(j, i): c for (i, j), c in self._terms.items()})
 
-    def diagonal(self) -> "BiPoly":
-        """Substitute y = x, collapsing each term to a single variable."""
-        data: Dict[Exponents, int] = {}
-        for (i, j), c in self._terms.items():
-            key = (i + j, 0)
-            acc = data.get(key, 0) + c
-            if acc:
-                data[key] = acc
-            else:
-                del data[key]
-        return _canonical(data)
-
-    def divide_exact_x_minus_1(self) -> "BiPoly":
-        """Exact quotient by (x - 1), by synthetic division on each y-slice.
-
-        Raises ValueError if any slice leaves a nonzero remainder, i.e. if
-        (x - 1) does not divide the polynomial.
-        """
-        slices: Dict[int, Dict[int, int]] = {}
-        for (i, j), c in self._terms.items():
-            slices.setdefault(j, {})[i] = c
-        data: Dict[Exponents, int] = {}
-        for j, coeffs in slices.items():
-            top = max(coeffs)
-            running = 0
-            for i in range(top, 0, -1):
-                running += coeffs.get(i, 0)
-                if running:
-                    data[(i - 1, j)] = running
-            remainder = coeffs.get(0, 0) + running
-            if remainder:
-                raise ValueError(f"not divisible by (x - 1): remainder {remainder} at y^{j}")
-        return _canonical(data)
-
     # -- serialization -----------------------------------------------------
 
-    def to_json_obj(self) -> dict:
-        """Canonical JSON object with coefficients as decimal strings."""
-        return {
-            "terms": [
-                {"x": i, "y": j, "c": str(c)} for (i, j), c in self.sorted_terms()
-            ]
-        }
-
     def to_json(self) -> str:
-        """``json.dumps(self.to_json_obj(), separators=(",", ":"))``, written
-        by one ``%`` format of the terms, in ``sorted_terms`` order, as a
-        flat tuple of (x, y, c) values, with no list of dicts."""
+        """``{"terms":[{"x":i,"y":j,"c":"<decimal>"},...]}`` in ``sorted_terms``
+        order, as ``json.dumps`` writes it with separators ``(",", ":")``,
+        made by one ``%`` format of a flat tuple of (x, y, c) values."""
         terms = self._terms
         keys = sorted(terms, reverse=True)
         values = tuple(value for key in keys for value in (*key, terms[key]))
         form = ",".join(['{"x":%d,"y":%d,"c":"%d"}'] * len(keys))
         return ('{"terms":[' + form + "]}") % values
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "BiPoly":
-        terms = obj["terms"]
-        return cls({(int(t["x"]), int(t["y"])): int(t["c"]) for t in terms})
-
-    @classmethod
-    def from_json(cls, text: str) -> "BiPoly":
-        return cls.from_json_obj(json.loads(text))
 
     # -- display -----------------------------------------------------------
 

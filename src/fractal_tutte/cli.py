@@ -65,9 +65,12 @@ def _rational(text: str) -> Fraction:
 
 
 def _nonnegative(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError("generation must be nonnegative")
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return value
 
 

@@ -77,9 +77,6 @@ class Edges(Sequence):
     def __iter__(self) -> Iterator[Tuple[int, int]]:
         return zip(self.tails, self.heads)
 
-    def __reversed__(self) -> Iterator[Tuple[int, int]]:
-        return zip(reversed(self.tails), reversed(self.heads))
-
     def __getitem__(self, index):
         if isinstance(index, slice):
             return Edges(self.tails[index], self.heads[index])

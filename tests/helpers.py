@@ -6,6 +6,7 @@ import random
 from itertools import starmap
 from typing import Dict, Tuple
 
+from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.lattices import Multigraph, union_find
 
 
@@ -52,6 +53,14 @@ def listed_census(g: Multigraph) -> Tuple[Dict[Tuple[int, int], int], Dict[Tuple
         key = (full_rank - rank, len(subset) - rank)
         bucket[key] = bucket.get(key, 0) + 1
     return joined, severed
+
+
+def diagonal(p: BiPoly) -> BiPoly:
+    """p with y = x: each term x^i y^j collapses to x^(i+j)."""
+    terms: Dict[Tuple[int, int], int] = {}
+    for (i, j), c in p.terms().items():
+        terms[i + j, 0] = terms.get((i + j, 0), 0) + c
+    return BiPoly(terms)
 
 
 def context_settings(context) -> tuple:

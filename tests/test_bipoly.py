@@ -1,4 +1,4 @@
-"""Polynomial core: canonical form, ring laws, evaluation, division, JSON."""
+"""Polynomial core: canonical form, ring laws, evaluation, transposition, JSON."""
 
 import contextlib
 import decimal
@@ -37,7 +37,7 @@ def bipolys(draw, max_terms=12, max_exp=6, max_coeff=99):
             max_size=max_terms,
         )
     )
-    return BiPoly(terms)
+    return BiPoly(dict(terms))
 
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
@@ -52,16 +52,13 @@ class TestCanonicalForm:
     def test_cancellation_drops_terms(self):
         assert ((X + Y) + (X - Y)).terms() == {(1, 0): 2}
 
-    def test_duplicate_keys_merge_on_construction(self):
-        assert BiPoly([((1, 1), 2), ((1, 1), -2), ((0, 0), 3)]) == 3
-
     def test_negative_exponents_rejected(self):
         with pytest.raises(ValueError):
             BiPoly({(-1, 0): 1})
 
     @given(bipolys(), bipolys())
     def test_operations_never_store_zero_coefficients(self, a, b):
-        for result in (a + b, a - b, a * b, -a, a.diagonal()):
+        for result in (a + b, a - b, a * b, -a, a.transpose()):
             assert all(c != 0 for c in result.terms().values())
 
 
@@ -384,22 +381,6 @@ class TestEvaluate:
         assert (a ** 3).evaluate(x0, y0) == a.evaluate(x0, y0) ** 3
 
 
-class TestDiagonal:
-    def test_y_becomes_x(self):
-        assert Y.diagonal() == X
-
-    def test_diamond_diagonal(self):
-        assert DIAMOND.diagonal() == BiPoly({(3, 0): 1, (2, 0): 5, (1, 0): 2})
-
-    def test_cycle_diagonal(self):
-        c4 = BiPoly({(3, 0): 1, (2, 0): 1, (1, 0): 1, (0, 1): 1})
-        assert c4.diagonal() == BiPoly({(3, 0): 1, (2, 0): 1, (1, 0): 2})
-
-    @given(bipolys(), rationals)
-    def test_diagonal_agrees_with_equal_arguments(self, a, t):
-        assert a.diagonal().evaluate(t, 0) == a.evaluate(t, t)
-
-
 class TestTranspose:
     def test_swaps_the_exponents(self):
         assert X.transpose() == Y
@@ -425,23 +406,9 @@ class TestTranspose:
         assert a.transpose().to_json() == BiPoly(dict(terms)).to_json()
 
 
-class TestDivisionByXMinus1:
-    def test_cubic_minus_one(self):
-        cubic = BiPoly({(3, 0): 1, (0, 0): -1})
-        assert cubic.divide_exact_x_minus_1() == BiPoly({(2, 0): 1, (1, 0): 1, (0, 0): 1})
-
-    def test_zero_divides(self):
-        assert ZERO.divide_exact_x_minus_1() == ZERO
-
-    def test_nondivisible_raises(self):
-        with pytest.raises(ValueError):
-            ONE.divide_exact_x_minus_1()
-        with pytest.raises(ValueError):
-            (X * X + 1).divide_exact_x_minus_1()
-
-    @given(bipolys())
-    def test_roundtrip_recovers_quotient(self, a):
-        assert ((X - 1) * a).divide_exact_x_minus_1() == a
+def parsed_terms(text):
+    """The exponent-to-coefficient mapping that to_json text stands for."""
+    return {(t["x"], t["y"]): int(t["c"]) for t in json.loads(text)["terms"]}
 
 
 class TestJson:
@@ -455,19 +422,19 @@ class TestJson:
 
     def test_zero_serializes_to_empty_terms(self):
         assert ZERO.to_json() == '{"terms":[]}'
-        assert BiPoly.from_json('{"terms":[]}') == ZERO
+        assert parsed_terms(ZERO.to_json()) == {}
 
     def test_huge_coefficients_roundtrip(self):
         big = BiPoly({(2, 3): 10 ** 50, (0, 0): -(7 ** 40)})
-        assert BiPoly.from_json(big.to_json()) == big
+        assert parsed_terms(big.to_json()) == big.terms()
 
     @given(bipolys())
     def test_roundtrip_identity(self, a):
-        assert BiPoly.from_json(a.to_json()) == a
+        assert parsed_terms(a.to_json()) == a.terms()
 
 
 class TestJsonWriter:
-    """to_json writes in one pass the text json.dumps makes of to_json_obj."""
+    """to_json writes in one pass the text json.dumps makes of the terms."""
 
     @given(st.dictionaries(
         st.tuples(st.integers(0, 30), st.integers(0, 30)),
@@ -480,7 +447,8 @@ class TestJsonWriter:
     @example({(7, 3): -(2 ** 64 + 1)})
     def test_equals_json_dumps_of_the_object(self, terms):
         a = BiPoly(terms)
-        assert a.to_json() == json.dumps(a.to_json_obj(), separators=(",", ":"))
+        reference = {"terms": [{"x": i, "y": j, "c": str(c)} for (i, j), c in a.sorted_terms()]}
+        assert a.to_json() == json.dumps(reference, separators=(",", ":"))
 
 
 class TestBias:

@@ -567,10 +567,13 @@ class TestUsageErrors:
             main(["gen", "--family", "sierpinski", "--n", "1"])
         assert excinfo.value.code == 2
 
-    def test_negative_generation(self):
+    @pytest.mark.parametrize("text", ["-1", "abc", "1.5"])
+    def test_negative_generation(self, capsys, text):
         with pytest.raises(SystemExit) as excinfo:
-            main(["gen", "--family", "fractal", "--n", "-1"])
+            main(["eval", "--family", "fractal", "--n", text, "--x", "1", "--y", "1"])
         assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--n" in err and "_nonnegative" not in err
 
     def test_lattice_cap_maps_to_cap_exit(self, capsys):
         code, _, err = run(capsys, "gen", "--family", "fractal", "--n", "99")

@@ -33,7 +33,7 @@ from fractal_tutte.lattices import (
 from fractal_tutte.oracle import tutte_subgraph_expansion
 from fractal_tutte.recursion import EVAL_NUMERATOR_BITS_CAP, tutte_eval, tutte_symbolic
 
-from helpers import random_multigraph
+from helpers import diagonal, random_multigraph
 
 X = BiPoly.x()
 
@@ -126,7 +126,7 @@ class TestDiagonal:
 
         for n in range(3):
             full = tutte_symbolic(LatticeFamily.FRACTAL, n)
-            assert diagonal_closed_form(n) == full.diagonal()
+            assert diagonal_closed_form(n) == diagonal(full)
 
     def test_degree(self):
         assert diagonal_closed_form(2).deg_x == 11

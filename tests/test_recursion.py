@@ -70,24 +70,33 @@ class TestSingleStep:
         assert pair.cofactor == X * X + X + 1
 
 
-# Each family's step as a plain quartic: the next joined part and cofactor
-# as sum a_k t^(4 - k) c^k, each a_k a homogeneous quadratic in (x, y, d).
-# The step functions of recursion._STEPS must sum to these.
-PLAIN_FORMS = {
-    LatticeFamily.FRACTAL: (
-        lambda x, y, d: (y * (y - d), 4 * y * d, 2 * (x + d) * d, 0, 0),
-        lambda x, y, d: (0, 0, 2 * (y + d) * d, 4 * x * d, x * (x - d))),
-    LatticeFamily.FLOWER22: (
-        lambda x, y, d: ((y - d) * d, 4 * d * d, 2 * (x - d) * d, 0, 0),
-        lambda x, y, d: (0, 0, 4 * d * d, 4 * (x - d) * d, (x - d) * (x - d))),
-    LatticeFamily.FLOWER13: (
-        lambda x, y, d: ((y - d) * d, 4 * d * d, 3 * (x - d) * d, (x - d) * (x - d), 0),
-        lambda x, y, d: (0, 0, 3 * d * d, 3 * (x - d) * d, (x - d) * (x - d))),
-}
+def composed(family, t, c, x, y, d):
+    """d times the family's step of the pair p = (t, c), composed from the
+    lattice's structure by the two-terminal series and parallel rules.
 
+    In the pair (joined part, cofactor) at (x/d, y/d), each rule is
+    homogeneous: its degree in (x, y, d) is one more than the sum of its
+    operands'.  The flower22 glues two paths of two copies in parallel, the
+    flower13 a copy in parallel with a path of three.  The fractal adds an
+    edge between the other two hubs: deleted, it leaves the flower22;
+    contracted, two parallel pairs in series; its step is the sum of both.
+    """
+    def series(a, b):
+        (j1, c1), (j2, c2) = a, b
+        return d * j1 * j2, d * (j1 * c2 + c1 * j2) + (x - d) * c1 * c2
 
-def plain_forms(family, x, y, d):
-    return tuple(form(x, y, d) for form in PLAIN_FORMS[family])
+    def parallel(a, b):
+        (j1, c1), (j2, c2) = a, b
+        return (y - d) * j1 * j2 + d * (j1 * c2 + c1 * j2), d * c1 * c2
+
+    p = (t, c)
+    s = series(p, p)
+    if family is LatticeFamily.FLOWER22:
+        return parallel(s, s)
+    if family is LatticeFamily.FLOWER13:
+        return parallel(p, series(s, p))
+    deleted, contracted = parallel(s, s), series(parallel(p, p), parallel(p, p))
+    return tuple(a + b for a, b in zip(deleted, contracted))
 
 
 class TestQuarticForms:
@@ -116,12 +125,6 @@ class TestQuarticForms:
             assert cofactor == recursion._rule(LatticeFamily.FRACTAL, c, t, y, x, d)[0]
 
 
-def quartic_sums(family, t, c, x, y, d):
-    """(joined, cofactor) as sum a_k t^(4 - k) c^k, from the plain quartics."""
-    return tuple(sum((a * t ** (4 - k) * c ** k for k, a in enumerate(part)), 0)
-                 for part in plain_forms(family, x, y, d))
-
-
 class CountingRing:
     """An int that counts products of two CountingRing operands, that is of
     the pair and what is made from it, recording for each whether it
@@ -147,7 +150,7 @@ class CountingRing:
 
 class TestRule:
     @pytest.mark.parametrize("family", list(LatticeFamily))
-    def test_matches_quartic_sums_at_integers(self, family):
+    def test_matches_composition_at_integers(self, family):
         rng = random.Random(1618)
         for _ in range(200):
             d = rng.randint(1, 9)
@@ -156,11 +159,11 @@ class TestRule:
             big_y = rng.choice([d, 0, rng.randint(-99, 99)])
             t = rng.choice([0, rng.randint(-10 ** 6, 10 ** 6)])
             c = rng.randint(-10 ** 6, 10 ** 6)
-            assert (recursion._rule(family, t, c, big_x, big_y, d)
-                    == quartic_sums(family, t, c, big_x, big_y, d))
+            got = recursion._rule(family, t, c, big_x, big_y, d)
+            assert tuple(d * part for part in got) == composed(family, t, c, big_x, big_y, d)
 
     @pytest.mark.parametrize("family", list(LatticeFamily))
-    def test_matches_quartic_sums_on_polynomials(self, family):
+    def test_matches_composition_on_polynomials(self, family):
         rng = random.Random(3141)
 
         def small_poly():
@@ -171,7 +174,8 @@ class TestRule:
         pairs += [(small_poly(), small_poly()) for _ in range(20)]
         for t, c in pairs:
             for x, y, d in ((X, Y, 1), (X, Y, 3), (X, BiPoly.one(), 1), (BiPoly.one(), Y, 1)):
-                assert recursion._rule(family, t, c, x, y, d) == quartic_sums(family, t, c, x, y, d)
+                got = recursion._rule(family, t, c, x, y, d)
+                assert tuple(d * part for part in got) == composed(family, t, c, x, y, d)
 
     @pytest.mark.parametrize("family, point, products, squares", [
         (LatticeFamily.FRACTAL, (5, 7, 3), 5, 2), (LatticeFamily.FLOWER22, (5, 7, 3), 5, 3),
@@ -191,13 +195,14 @@ class TestRule:
         joined, cofactor = recursion._rule(family, t, c, *point)
         assert len(counter) == products
         assert sum(counter) == squares
-        assert (joined.value, cofactor.value) == quartic_sums(family, 11, -13, *point)
+        d = point[2]
+        assert (d * joined.value, d * cofactor.value) == composed(family, 11, -13, *point)
 
     @pytest.mark.parametrize("family", list(LatticeFamily))
-    def test_matches_quartic_sums_at_generation_three(self, family, symbolic_n3):
+    def test_matches_composition_at_generation_three(self, family, symbolic_n3):
         # The 3 -> 4 step's products are packed, most on decimal slots.
         t, c = symbolic_n3[family]
-        assert recursion._rule(family, t, c, X, Y, 1) == quartic_sums(family, t, c, X, Y, 1)
+        assert recursion._rule(family, t, c, X, Y, 1) == composed(family, t, c, X, Y, 1)
 
     def test_dual_step_is_both_parts_of_the_rule(self, symbolic_n3):
         family = LatticeFamily.FRACTAL
@@ -225,17 +230,17 @@ class TestSymbolicStep:
         got = step(family, pair)
         monkeypatch.undo()
         assert sum(size >= pair_terms for size in sizes) == products
-        assert got == quartic_sums(family, *pair, X, Y, 1)
+        assert got == composed(family, *pair, X, Y, 1)
 
     @pytest.mark.parametrize("family", list(LatticeFamily))
-    def test_matches_quartic_sums_on_pairs_that_are_not_dual(self, family):
+    def test_matches_composition_on_pairs_that_are_not_dual(self, family):
         # A cofactor other than the joined part transposed takes the rule
         # that forms both parts.
         rng = random.Random(2024)
         for _ in range(10):
             t, c = (BiPoly({(rng.randint(0, 3), rng.randint(0, 3)): rng.randint(-5, 5)
                             for _ in range(rng.randint(1, 6))}) for _ in range(2))
-            assert step(family, TuttePair(t, c)) == quartic_sums(family, t, c, X, Y, 1)
+            assert step(family, TuttePair(t, c)) == composed(family, t, c, X, Y, 1)
 
 
 class TestDuality:
@@ -438,7 +443,7 @@ class TestStructuralInvariants:
         for family in LatticeFamily:
             pair = symbolic_n4[family]
             severed = pair.assemble() - pair.joined
-            assert severed.divide_exact_x_minus_1() == pair.cofactor
+            assert severed == (X - 1) * pair.cofactor
 
 
 class TestByteIdenticalOutput:
