@@ -63,6 +63,15 @@ def diagonal(p: BiPoly) -> BiPoly:
     return BiPoly(terms)
 
 
+def divisible_by_x_minus_1(p: BiPoly) -> bool:
+    """Whether x - 1 divides p: p vanishes at x = 1, that is the
+    coefficients of each power of y sum to 0."""
+    sums: Dict[int, int] = {}
+    for (_, j), c in p.terms().items():
+        sums[j] = sums.get(j, 0) + c
+    return not any(sums.values())
+
+
 def context_settings(context) -> tuple:
     """Everything of a decimal context that an operation could change."""
     return (context.prec, context.rounding, context.Emin, context.Emax, context.capitals,

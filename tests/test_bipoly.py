@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from fractal_tutte import bipoly
 from fractal_tutte.bipoly import _PACKED_MIN_TERMS, BiPoly
-from helpers import context_settings
+from helpers import context_settings, diagonal, divisible_by_x_minus_1
 
 X = BiPoly.x()
 Y = BiPoly.y()
@@ -51,6 +51,9 @@ class TestCanonicalForm:
 
     def test_cancellation_drops_terms(self):
         assert ((X + Y) + (X - Y)).terms() == {(1, 0): 2}
+
+    def test_zero_coefficients_dropped_on_construction(self):
+        assert BiPoly({(1, 1): 0, (0, 0): 3}).terms() == {(0, 0): 3}
 
     def test_negative_exponents_rejected(self):
         with pytest.raises(ValueError):
@@ -381,6 +384,24 @@ class TestEvaluate:
         assert (a ** 3).evaluate(x0, y0) == a.evaluate(x0, y0) ** 3
 
 
+class TestDiagonal:
+    """helpers.diagonal, the y = x reference of the diagonal tests."""
+
+    def test_y_becomes_x(self):
+        assert diagonal(Y) == X
+
+    def test_diamond_diagonal(self):
+        assert diagonal(DIAMOND) == BiPoly({(3, 0): 1, (2, 0): 5, (1, 0): 2})
+
+    def test_cycle_diagonal(self):
+        c4 = BiPoly({(3, 0): 1, (2, 0): 1, (1, 0): 1, (0, 1): 1})
+        assert diagonal(c4) == BiPoly({(3, 0): 1, (2, 0): 1, (1, 0): 2})
+
+    @given(bipolys(), rationals)
+    def test_diagonal_agrees_with_equal_arguments(self, a, t):
+        assert diagonal(a).evaluate(t, 0) == a.evaluate(t, t)
+
+
 class TestTranspose:
     def test_swaps_the_exponents(self):
         assert X.transpose() == Y
@@ -404,6 +425,29 @@ class TestTranspose:
         terms = [((j, i), c) for (i, j), c in a.terms().items()]
         rng.shuffle(terms)
         assert a.transpose().to_json() == BiPoly(dict(terms)).to_json()
+
+
+class TestDivisionByXMinus1:
+    """helpers.divisible_by_x_minus_1, the reference of the severed-part tests."""
+
+    def test_cubic_minus_one(self):
+        cubic = BiPoly({(3, 0): 1, (0, 0): -1})
+        assert divisible_by_x_minus_1(cubic)
+        assert (X - 1) * (X * X + X + 1) == cubic
+
+    def test_zero_divides(self):
+        assert divisible_by_x_minus_1(ZERO)
+
+    def test_nondivisible_detected(self):
+        assert not divisible_by_x_minus_1(ONE)
+        assert not divisible_by_x_minus_1(X * X + 1)
+        assert not divisible_by_x_minus_1(X * Y - 1)
+
+    @given(bipolys())
+    def test_multiples_are_divisible(self, a):
+        assert divisible_by_x_minus_1((X - 1) * a)
+        # a(1, y) has degree at most 6, so it is 0 when it vanishes at 7 points.
+        assert divisible_by_x_minus_1(a) == all(a.evaluate(1, k) == 0 for k in range(7))
 
 
 def parsed_terms(text):

@@ -24,7 +24,9 @@ from fractal_tutte.oracle import (
     tutte_subgraph_expansion,
 )
 
-from helpers import listed_census, random_connected_multigraph, random_multigraph
+from helpers import (
+    divisible_by_x_minus_1, listed_census, random_connected_multigraph, random_multigraph,
+)
 
 X = BiPoly.x()
 Y = BiPoly.y()
@@ -108,12 +110,7 @@ class TestSplitCensus:
         for _ in range(20):
             g = random_connected_multigraph(rng)
             _, severed = split_tutte(g)
-            # Divisible by x - 1 exactly when it vanishes at x = 1, that is
-            # when the coefficients of each power of y sum to 0.
-            sums = {}
-            for (_, j), c in severed.terms().items():
-                sums[j] = sums.get(j, 0) + c
-            assert not any(sums.values())
+            assert divisible_by_x_minus_1(severed)
 
 
 class TestKnownIdentities:
