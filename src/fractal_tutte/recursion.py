@@ -90,8 +90,8 @@ class TuttePair(NamedTuple):
 # One function per family forms the next (joined, cofactor) from t^2, t c
 # and c^2.  The scalars are polynomials in (x, y, d): with d = 1 the step is
 # at (x, y), symbolic or not; with integers X, Y, D every coefficient is a
-# homogeneous quadratic in (X, Y, D), so the step maps numerators over D^e
-# to numerators over D^(4e + 2) at (X/D, Y/D).  Each scalar is formed before
+# homogeneous quadratic in (X, Y, D), so the step maps numerators over den
+# to numerators over den^4 D^2 at (X/D, Y/D).  Each scalar is formed before
 # it meets a pair-sized operand.
 
 def _fractal(t2: Ring, tc: Ring, c2: Ring, x: Ring, y: Ring, d: int) -> Ring:
@@ -208,38 +208,36 @@ def _numerator_bits(n: int, big_x: int, big_y: int, d: int) -> int:
 
 def _eval_numerators(family: LatticeFamily, n: int, x: Union[int, Fraction],
                      y: Union[int, Fraction]) -> Tuple[int, int, int, int, int]:
-    """(J, C, e, X, D): the split state at x = X/D, y = Y/D is (J/D^e, C/D^e).
+    """(J, C, den, X, D): the split state at x = X/D, y = Y/D is (J/den, C/den).
 
-    The steps run on integers, and e -> 4e + 2 per step.  Powers of D that
-    both numerators share are taken out after each step; on the line x = 1
-    of the flowers they are about half of D^e, and left in they would make
-    every later product twice as long.
+    The steps run on integers, and den -> den^4 D^2 per step, so every prime
+    of den divides D.  After each step J, C and den are divided by
+    g = gcd(J, C, den, D), found from their remainders by D, while g > 1.
+    No prime of D then divides all three, so no common factor, a whole power
+    of D or not, is carried into the next step to be raised to the fourth.
     """
     big_x, big_y, d = _homogeneous(Fraction(x), Fraction(y))
     _check_size("evaluation numerators", _numerator_bits(n, big_x, big_y, d))
-    joined, cofactor, e = 1, 1, 0
+    joined, cofactor, den = 1, 1, 1
     for _ in range(n):
         joined, cofactor = _rule(family, joined, cofactor, big_x, big_y, d)
-        e = 4 * e + 2
-        while e and d > 1 and not (joined % d or cofactor % d):
-            joined //= d
-            cofactor //= d
-            e -= 1
-    return joined, cofactor, e, big_x, d
+        den = den ** 4 * d * d
+        while (g := math.gcd(joined % d, cofactor % d, den % d, d)) > 1:
+            joined, cofactor, den = joined // g, cofactor // g, den // g
+    return joined, cofactor, den, big_x, d
 
 
 def eval_pair(family: LatticeFamily, n: int,
               x: Union[int, Fraction], y: Union[int, Fraction]) -> TuttePair:
-    """Split state evaluated at a rational point, without symbolic blowup;
-    each part is reduced once."""
-    joined, cofactor, e, _, d = _eval_numerators(family, n, x, y)
-    scale = d ** e
-    return TuttePair(lowest_terms(joined, scale, d), lowest_terms(cofactor, scale, d))
+    """Split state evaluated at a rational point, without symbolic blowup:
+    each part of (J/den, C/den) is brought to lowest terms once."""
+    joined, cofactor, den, _, d = _eval_numerators(family, n, x, y)
+    return TuttePair(lowest_terms(joined, den, d), lowest_terms(cofactor, den, d))
 
 
 def tutte_eval(family: LatticeFamily, n: int,
                x: Union[int, Fraction], y: Union[int, Fraction]) -> Fraction:
     """Exact value of the generation-n Tutte polynomial at a rational point:
-    J + (x - 1) C over D^(e + 1), reduced once."""
-    joined, cofactor, e, big_x, d = _eval_numerators(family, n, x, y)
-    return lowest_terms(d * joined + (big_x - d) * cofactor, d ** (e + 1), d)
+    J + (x - 1) C = (D J + (X - D) C) / (D den), brought to lowest terms once."""
+    joined, cofactor, den, big_x, d = _eval_numerators(family, n, x, y)
+    return lowest_terms(d * joined + (big_x - d) * cofactor, d * den, d)

@@ -444,6 +444,11 @@ class TestRationalPointOutput:
          "e2165d0a41361b2797b95e25d19f76dcfff5d55348cdb3df573571e22e2ead21"),
         (("potts", "--family", "fractal", "--n", "7", "--q", "9/4", "--v", "3/2"),
          "76d020a56de61c4ca60446ff934073bf6c2da8b9e35659560bf0f2da528534ea"),
+        # Only some primes of D cancel at these two points.
+        (("eval", "--family", "flower13", "--n", "10", "--x=-1/6", "--y", "5/7"),
+         "3f8755b7db706ce56df83dc88c6aa8dd063271ddcedd42c2e3531dcf2a9fa467"),
+        (("eval", "--family", "flower22", "--n", "10", "--x", "1/2", "--y", "1/3"),
+         "df6d2cfbdc78642c84c85cd7ef2c38db2a625b17d8a1fadad586dbc0a3f460ae"),
     ]
 
     def test_stdout_digests(self, capsys):

@@ -8,6 +8,7 @@ for generation n+1; assembling gives the full Tutte polynomial.
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -101,8 +102,8 @@ def composed(family, t, c, x, y, d):
 
 class TestQuarticForms:
     def test_coefficients_are_homogeneous_quadratics(self):
-        # The pointwise recursion takes numerators over D^e to numerators
-        # over D^(4e + 2) only if scaling (X, Y, D) by k scales both parts
+        # The pointwise recursion takes numerators over den to numerators
+        # over den^4 D^2 only if scaling (X, Y, D) by k scales both parts
         # of the step by k^2.
         rng = random.Random(2718)
         for family in LatticeFamily:
@@ -297,12 +298,12 @@ class TestAgainstOracles:
             assert (joined, severed) == (pair.joined, (X - 1) * pair.cofactor), family
 
     # (1, 5/7) lies on the line x = 1 and (-1/6, 1) on y = 1, where every
-    # subset with a factor u or v weighs 0; at (-1/6, 5/7) the common
-    # denominator only partly cancels.
+    # subset with a factor u or v weighs 0; at (-1/6, 5/7) and (1/2, 1/3)
+    # the common denominator only partly cancels.
     @pytest.mark.parametrize("x,y,n_max", [
         (Fraction(3, 7), Fraction(-5, 2), 5), (Fraction(2), Fraction(3), 4),
         (Fraction(1), Fraction(5, 7), 4), (Fraction(-1, 6), Fraction(1), 4),
-        (Fraction(-1, 6), Fraction(5, 7), 4),
+        (Fraction(-1, 6), Fraction(5, 7), 6), (Fraction(1, 2), Fraction(1, 3), 6),
     ])
     def test_sweep_at_a_point_past_generation_two(self, x, y, n_max):
         # The elimination on exact rationals, every family from n=3 to n_max
@@ -366,7 +367,7 @@ def assert_same_fraction(got: Fraction, expected: Fraction) -> None:
 
 
 class TestIntegerEvaluation:
-    """The pointwise steps run on integer numerators over a power of D."""
+    """The pointwise steps run on integer numerators over a D-smooth den."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(list(LatticeFamily)), st.integers(0, 2), RATIONALS, RATIONALS)
@@ -401,6 +402,42 @@ class TestIntegerEvaluation:
         monkeypatch.undo()
         for value, reference in zip(got, expected):
             assert_same_fraction(value, reference)
+
+
+class TestReducedState:
+    """After every step no prime of D divides all of J, C and den."""
+
+    def test_state_shares_no_prime_of_d(self, symbolic_n3):
+        rng = random.Random(1729)
+        # Only some primes of D cancel at the first two points; then x = 1,
+        # negative numerators, and D = 1.
+        points = [(Fraction(-1, 6), Fraction(5, 7)), (Fraction(1, 2), Fraction(1, 3)),
+                  (Fraction(1), Fraction(1, 5)), (Fraction(1), Fraction(-3, 4)),
+                  (Fraction(-7, 3), Fraction(-5, 9)), (Fraction(2), Fraction(-3)),
+                  (Fraction(1), Fraction(1))]
+        points += [(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 12))) for _ in range(12)]
+        for family in LatticeFamily:
+            for x, y in points:
+                for n in range(7):
+                    joined, cofactor, den, _, d = recursion._eval_numerators(family, n, x, y)
+                    assert den > 0 and math.gcd(joined, cofactor, den, d) == 1, (family, n, x, y)
+                    smooth = den
+                    while (g := math.gcd(smooth, d)) > 1:
+                        smooth //= g
+                    assert smooth == 1, (family, n, x, y)
+                    if n < 4:
+                        pair = symbolic_n3[family] if n == 3 else tutte_pair(family, n)
+                        assert Fraction(joined, den) == pair.joined.evaluate(x, y)
+                        assert Fraction(cofactor, den) == pair.cofactor.evaluate(x, y)
+
+    def test_partial_cancellation_near_the_cap_takes_seconds(self):
+        # Only some primes of D cancel here.  Carried to the end, the shared
+        # factor grows to a large part of the denominator, and removing it
+        # then takes tens of seconds.
+        start = time.perf_counter()
+        tutte_eval(LatticeFamily.FLOWER13, 10, Fraction(-1, 6), Fraction(5, 7))
+        assert time.perf_counter() - start < 10
 
 
 class TestLowestTerms:
