@@ -18,8 +18,8 @@ from typing import Collection, Dict, Iterable, Tuple, Union
 from .bipoly import BiPoly
 from .errors import CapExceeded, DomainError
 from .lattices import LatticeFamily, Multigraph, check_generation, lattice_counts
-from .recursion import (SYMBOLIC_GENERATION_CAP, _check_size, _four_sum, _homogeneous,
-                        _numerator_bits, lowest_terms, tutte_eval)
+from .recursion import (SYMBOLIC_GENERATION_CAP, _check_size, _eval_numerators, _four_sum,
+                        _homogeneous, _numerator_bits, lowest_terms)
 
 POTTS_STATE_CAP = 2 ** 24
 
@@ -205,22 +205,19 @@ def potts_direct(g: Multigraph, params: PottsParams) -> Fraction:
 def potts_lattice(family: LatticeFamily, n: int, params: PottsParams) -> Fraction:
     """Partition function of a connected lattice generation via the recursion.
 
-    Z = q * v^(|V| - 1) * T is formed as one integer fraction and reduced
-    once; every prime of its denominator divides q.den * v.den * D, where D
-    is the common denominator of the Tutte-plane point.  Its predicted size,
-    T's numerators and the factor q * v^(|V| - 1), is refused past the cap
-    before T is evaluated.
+    At the Tutte-plane point (X/D, Y/D), x - 1 = q/v and |V| - 1 = e + 1 for the
+    numerators' degree e = 2 (4^n - 1) / 3, so Z = q v^e (v J + q C) / den.  With
+    q = Q/E, v = P/F and h = gcd(P, D) the recursion reduces against F D/h, its
+    state carries (h/F)^e, and Z = Q (P/h)^e (P E J + Q F C) / (E^2 F den) is
+    reduced once: P/h shares no prime with F D/h.  Its predicted size, the
+    numerators' bits plus e ceil(log2 |P/h|), is refused before any step.
     """
-    x, y = tutte_arguments(params)
-    q, v = params.q, params.v
-    tutte_bits = _numerator_bits(n, *_homogeneous(x, y))
-    # T's share alone comes first: past it, n is too large to form 4^n for |V|.
-    _check_size("Potts partition value", tutte_bits)
-    vertices, _ = lattice_counts(family, n)
+    (q_num, q_den), (v_num, v_den) = params.q.as_integer_ratio(), params.v.as_integer_ratio()
+    big_x, big_y, d = _homogeneous(*tutte_arguments(params))
+    h, e = math.gcd(v_num, d), 2 * _four_sum(n)
     _check_size("Potts partition value",
-                tutte_bits + _product_bits(((q, 1), (v, vertices - 1))))
-    value = tutte_eval(family, n, x, y)
-    base = q.denominator * v.denominator * math.lcm(x.denominator, y.denominator)
-    return lowest_terms(q.numerator * v.numerator ** (vertices - 1) * value.numerator,
-                        q.denominator * v.denominator ** (vertices - 1) * value.denominator,
-                        base)
+                _numerator_bits(n, big_x, big_y, d) + e * (abs(v_num // h) - 1).bit_length())
+    joined, cofactor, den = _eval_numerators(family, n, big_x, big_y, d, v_den * d // h)
+    return lowest_terms(q_num * (v_num // h) ** e
+                        * (v_num * q_den * joined + q_num * v_den * cofactor),
+                        q_den * q_den * v_den * den, q_den * v_den * d // h)

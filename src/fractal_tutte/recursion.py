@@ -206,32 +206,32 @@ def _numerator_bits(n: int, big_x: int, big_y: int, d: int) -> int:
     return 2 * _four_sum(n) * max(abs(big_x), abs(big_y), d).bit_length()
 
 
-def _eval_numerators(family: LatticeFamily, n: int, x: Union[int, Fraction],
-                     y: Union[int, Fraction]) -> Tuple[int, int, int, int, int]:
-    """(J, C, den, X, D): the split state at x = X/D, y = Y/D is (J/den, C/den).
+def _eval_numerators(family: LatticeFamily, n: int, big_x: int, big_y: int, d: int,
+                     base: int) -> Tuple[int, int, int]:
+    """(J, C, den): (J/den, C/den) is the split state at x = X/D, y = Y/D
+    times (D/base)^e, e = 2 (4^n - 1) / 3, so base = D gives the state itself.
 
-    The steps run on integers, and den -> den^4 D^2 per step, so every prime
-    of den divides D.  After each step J, C and den are divided by
-    g = gcd(J, C, den, D), found from their remainders by D, while g > 1.
-    No prime of D then divides all three, so no common factor, a whole power
-    of D or not, is carried into the next step to be raised to the fourth.
+    Each step runs on integers and sets den -> den^4 base^2, so every prime of
+    den divides base; then J, C and den are divided by g = gcd(J, C, den, base),
+    found from their remainders by base, while g > 1, and no common factor is
+    carried into the next step to be raised to the fourth.
     """
-    big_x, big_y, d = _homogeneous(Fraction(x), Fraction(y))
-    _check_size("evaluation numerators", _numerator_bits(n, big_x, big_y, d))
     joined, cofactor, den = 1, 1, 1
     for _ in range(n):
         joined, cofactor = _rule(family, joined, cofactor, big_x, big_y, d)
-        den = den ** 4 * d * d
-        while (g := math.gcd(joined % d, cofactor % d, den % d, d)) > 1:
+        den = den ** 4 * base * base
+        while (g := math.gcd(joined % base, cofactor % base, den % base, base)) > 1:
             joined, cofactor, den = joined // g, cofactor // g, den // g
-    return joined, cofactor, den, big_x, d
+    return joined, cofactor, den
 
 
 def eval_pair(family: LatticeFamily, n: int,
               x: Union[int, Fraction], y: Union[int, Fraction]) -> TuttePair:
     """Split state evaluated at a rational point, without symbolic blowup:
     each part of (J/den, C/den) is brought to lowest terms once."""
-    joined, cofactor, den, _, d = _eval_numerators(family, n, x, y)
+    big_x, big_y, d = _homogeneous(Fraction(x), Fraction(y))
+    _check_size("evaluation numerators", _numerator_bits(n, big_x, big_y, d))
+    joined, cofactor, den = _eval_numerators(family, n, big_x, big_y, d, d)
     return TuttePair(lowest_terms(joined, den, d), lowest_terms(cofactor, den, d))
 
 
@@ -239,5 +239,7 @@ def tutte_eval(family: LatticeFamily, n: int,
                x: Union[int, Fraction], y: Union[int, Fraction]) -> Fraction:
     """Exact value of the generation-n Tutte polynomial at a rational point:
     J + (x - 1) C = (D J + (X - D) C) / (D den), brought to lowest terms once."""
-    joined, cofactor, den, big_x, d = _eval_numerators(family, n, x, y)
+    big_x, big_y, d = _homogeneous(Fraction(x), Fraction(y))
+    _check_size("evaluation numerators", _numerator_bits(n, big_x, big_y, d))
+    joined, cofactor, den = _eval_numerators(family, n, big_x, big_y, d, d)
     return lowest_terms(d * joined + (big_x - d) * cofactor, d * den, d)

@@ -6,8 +6,9 @@ import random
 from itertools import starmap
 from typing import Dict, Tuple
 
+from fractal_tutte import recursion
 from fractal_tutte.bipoly import BiPoly
-from fractal_tutte.lattices import Multigraph, union_find
+from fractal_tutte.lattices import LatticeFamily, Multigraph, union_find
 
 
 def _normalized(u: int, v: int) -> Tuple[int, int]:
@@ -76,3 +77,15 @@ def context_settings(context) -> tuple:
     """Everything of a decimal context that an operation could change."""
     return (context.prec, context.rounding, context.Emin, context.Emax, context.capitals,
             context.clamp, dict(context.flags), dict(context.traps))
+
+
+class Stepped(Exception):
+    """Raised by every recursion step once forbid_steps has run."""
+
+
+def forbid_steps(monkeypatch) -> None:
+    """Make every family's step raise Stepped, so a test can tell a request
+    refused by the size rule from one that reached its first step."""
+    def no_step(*args):
+        raise Stepped
+    monkeypatch.setattr(recursion, "_STEPS", dict.fromkeys(LatticeFamily, no_step))

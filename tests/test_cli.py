@@ -17,7 +17,7 @@ import pytest
 from fractal_tutte import checks, cli, invariants, lattices, oracle, recursion
 from fractal_tutte.cli import _DECIMAL_PIECE_BITS, _decimal, main
 from fractal_tutte.lattices import LatticeFamily, build_lattice, lattice_counts, to_edge_list
-from helpers import context_settings
+from helpers import context_settings, forbid_steps
 
 HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
 
@@ -299,15 +299,17 @@ class TestPotts:
         assert code == 0
         assert json.loads(out)["v"] == "-1/2"
 
-    def test_value_just_past_the_size_rule_exits_3_at_once(self, capsys):
-        # T's numerators are predicted at 8,388,606 bits and q v^(|V| - 1)
-        # adds 8,388,615: 5 bits past 2^24.
+    def test_value_just_past_the_size_rule_exits_3_at_once(self, capsys, monkeypatch):
+        # At the Tutte-plane point (9/2, 9/2) the numerators are predicted at
+        # 2 (4^11 - 1) / 3 = 2,796,202 times 4 bits, and the power (7/1)^e
+        # adds 2,796,202 times 3: 19,573,414 bits, past 2^24.
+        forbid_steps(monkeypatch)
         start = time.perf_counter()
         code, out, err = run(capsys, "potts", "--family", "fractal", "--n", "11",
-                             "--q", "9/4", "--v", "3/2")
+                             "--q", "49/4", "--v", "7/2")
         assert time.perf_counter() - start < 0.5
         assert code == 3
-        assert out == "" and "resource cap" in err
+        assert out == "" and "resource cap" in err and "19573414 bits" in err
 
     def test_zero_coupling_is_a_domain_error(self, capsys):
         code, _, err = run(
@@ -449,6 +451,14 @@ class TestRationalPointOutput:
          "3f8755b7db706ce56df83dc88c6aa8dd063271ddcedd42c2e3531dcf2a9fa467"),
         (("eval", "--family", "flower22", "--n", "10", "--x", "1/2", "--y", "1/3"),
          "df6d2cfbdc78642c84c85cd7ef2c38db2a625b17d8a1fadad586dbc0a3f460ae"),
+        # v's numerator shares a prime with D at these three points; pinned
+        # when Z was formed from T's Fraction and reduced a second time.
+        (("potts", "--family", "fractal", "--n", "9", "--q", "3", "--v=-15/2"),
+         "8dac480c6ba083a19b9ca951a88e266cf17233be704e2e08c72590508c79dce6"),
+        (("potts", "--family", "flower13", "--n", "8", "--q", "7/4", "--v", "6/5"),
+         "b77c97717ae20766464e7551fcca5bc1551503a6c320f06f152517507cce06d8"),
+        (("potts", "--family", "flower22", "--n", "8", "--q=-9/10", "--v", "4/3"),
+         "ac4b9c8540987d389e6a09d7bd3c2d5e116ef2a14868108a057ef9355a604d00"),
     ]
 
     def test_stdout_digests(self, capsys):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fractal_tutte import invariants, oracle
 from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.errors import CapExceeded, DomainError
 from fractal_tutte.invariants import (
@@ -33,7 +34,7 @@ from fractal_tutte.lattices import (
 from fractal_tutte.oracle import tutte_subgraph_expansion
 from fractal_tutte.recursion import EVAL_NUMERATOR_BITS_CAP, tutte_eval, tutte_symbolic
 
-from helpers import diagonal, random_multigraph
+from helpers import Stepped, diagonal, forbid_steps, random_multigraph
 
 X = BiPoly.x()
 
@@ -296,31 +297,87 @@ class TestPottsViaTutte:
         assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
         assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1
 
-    # At q = 9/4, v = 3/2 the Tutte-plane point is (5/2, 5/2): T's numerators
-    # are predicted at 2 (4^n - 1) / 3 times 3 bits, and q v^(|V| - 1) adds
-    # 6 + 3 (|V| - 1) bits.
+    # At q = 9/4, v = 3/2 the Tutte-plane point is (5/2, 5/2): the
+    # numerators are predicted at e = 2 (4^n - 1) / 3 times 3 bits, and the
+    # power (3/1)^e adds e times 2.
     PARAMS = PottsParams(Fraction(9, 4), Fraction(3, 2))
 
     @classmethod
     def predicted_bits(cls, n):
-        vertices, _ = lattice_counts(LatticeFamily.FRACTAL, n)
-        return 2 * (4 ** n - 1) // 3 * 3 + 6 + 3 * (vertices - 1)
+        return 2 * (4 ** n - 1) // 3 * (3 + 2)
 
-    def test_factor_q_v_power_counts_against_the_cap(self):
-        # n = 11: T's share is 8,388,606 bits, the whole 16,777,221, just
-        # past 2^24.
-        assert self.predicted_bits(11) == (1 << 24) + 5
+    @staticmethod
+    def prediction(monkeypatch, family, n, params):
+        """The bits potts_lattice checks against the cap; nothing is evaluated."""
+        class Predicted(Exception):
+            pass
+
+        def record(what, bits):
+            raise Predicted(bits)
+        with monkeypatch.context() as patch:
+            patch.setattr(invariants, "_check_size", record)
+            with pytest.raises(Predicted) as info:
+                potts_lattice(family, n, params)
+        return info.value.args[0]
+
+    def test_factor_q_v_power_counts_against_the_cap(self, monkeypatch):
+        forbid_steps(monkeypatch)
+        for n in range(12):
+            assert self.prediction(monkeypatch, LatticeFamily.FRACTAL, n, self.PARAMS) \
+                == self.predicted_bits(n)
+        # At (25/4, 5/2) the point is (7/2, 7/2): at n = 11 the numerators
+        # are predicted at 8,388,606 bits and the power (5/1)^e adds as many,
+        # 4 bits inside 2^24, so the request reaches its first step.
+        params = PottsParams(Fraction(25, 4), Fraction(5, 2))
+        assert self.prediction(monkeypatch, LatticeFamily.FRACTAL, 11, params) == (1 << 24) - 4
+        with pytest.raises(Stepped):
+            potts_lattice(LatticeFamily.FRACTAL, 11, params)
+        # At (49/4, 7/2), point (9/2, 9/2), the numerators' 11,184,808 bits
+        # are inside the cap, and the power (7/1)^e takes the whole past it.
         start = time.perf_counter()
         with pytest.raises(CapExceeded):
-            potts_lattice(LatticeFamily.FRACTAL, 11, self.PARAMS)
+            potts_lattice(LatticeFamily.FRACTAL, 11, PottsParams(Fraction(49, 4), Fraction(7, 2)))
         assert time.perf_counter() - start < 0.5
 
     def test_admitted_value_stays_within_its_prediction(self):
-        # At n = 9 the numerator alone (834,056 bits) is past T's share of
-        # the prediction (524,286 bits), but within the whole.
+        # At n = 9 the numerator alone (834,056 bits) is past the numerators'
+        # share of the prediction (524,286 bits), but within the whole.
         value = potts_lattice(LatticeFamily.FRACTAL, 9, self.PARAMS)
         bits = max(abs(value.numerator).bit_length(), value.denominator.bit_length())
         assert 2 * (4 ** 9 - 1) // 3 * 3 < bits <= self.predicted_bits(9)
+
+    def test_prediction_is_at_most_the_two_check_rule(self, monkeypatch):
+        # The rule of the route that formed q v^(|V| - 1) T from T's Fraction:
+        # T's numerators, then ceil(log2) of the numerator and denominator of
+        # q once and of v |V| - 1 times.  Under the one-check rule a request
+        # can only go from refused to admitted.
+        rng = random.Random(4231)
+        for _ in range(300):
+            family, n = rng.choice(list(LatticeFamily)), rng.randint(0, 12)
+            q = Fraction(rng.randint(-60, 60), rng.randint(1, 60))
+            v = Fraction(rng.choice([-1, 1]) * rng.randint(1, 90), rng.randint(1, 60))
+            params = PottsParams(q, v)
+            x, y = tutte_arguments(params)
+            d = math.lcm(x.denominator, y.denominator)
+            top = max(abs(x.numerator) * d // x.denominator,
+                      abs(y.numerator) * d // y.denominator, d)
+            vertices, _ = lattice_counts(family, n)
+            old = 2 * (4 ** n - 1) // 3 * top.bit_length() + sum(
+                e * ((abs(b.numerator) - 1).bit_length() + (b.denominator - 1).bit_length())
+                for b, e in ((q, 1), (v, vertices - 1)))
+            assert self.prediction(monkeypatch, family, n, params) <= old, (family, n, q, v)
+
+    @pytest.mark.parametrize("family", list(LatticeFamily))
+    def test_lattice_equals_the_elimination_past_the_oracle_cap(self, family):
+        # Vertex elimination sums the subset expansion at x - 1 = q/v,
+        # y - 1 = v and reads no step rule; v's numerator shares a prime
+        # with D at both points.
+        for q, v in [(Fraction(10), Fraction(-20, 3)), (Fraction(7, 4), Fraction(6, 5))]:
+            for n in range(3, 6):
+                vertices, _ = lattice_counts(family, n)
+                tutte = sum(oracle._sweep(build_lattice(family, n), q / v, v))
+                assert potts_lattice(family, n, PottsParams(q, v)) \
+                    == q * v ** (vertices - 1) * tutte, (n, q, v)
 
     def test_partition_identity_on_random_multigraphs(self):
         rng = random.Random(6022)

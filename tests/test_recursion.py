@@ -32,6 +32,8 @@ from fractal_tutte.recursion import (
     tutte_symbolic,
 )
 
+from helpers import Stepped, forbid_steps
+
 X = BiPoly.x()
 Y = BiPoly.y()
 
@@ -404,8 +406,17 @@ class TestIntegerEvaluation:
             assert_same_fraction(value, reference)
 
 
+def assert_reduced(joined, cofactor, den, base, label):
+    """den > 0 is base-smooth, and no prime of base divides all of J, C and den."""
+    assert den > 0 and math.gcd(joined, cofactor, den, base) == 1, label
+    smooth = den
+    while (g := math.gcd(smooth, base)) > 1:
+        smooth //= g
+    assert smooth == 1, label
+
+
 class TestReducedState:
-    """After every step no prime of D divides all of J, C and den."""
+    """After every step no prime of the reduction base divides all of J, C and den."""
 
     def test_state_shares_no_prime_of_d(self, symbolic_n3):
         rng = random.Random(1729)
@@ -419,17 +430,46 @@ class TestReducedState:
                     Fraction(rng.randint(-9, 9), rng.randint(1, 12))) for _ in range(12)]
         for family in LatticeFamily:
             for x, y in points:
+                big_x, big_y, d = recursion._homogeneous(x, y)
                 for n in range(7):
-                    joined, cofactor, den, _, d = recursion._eval_numerators(family, n, x, y)
-                    assert den > 0 and math.gcd(joined, cofactor, den, d) == 1, (family, n, x, y)
-                    smooth = den
-                    while (g := math.gcd(smooth, d)) > 1:
-                        smooth //= g
-                    assert smooth == 1, (family, n, x, y)
+                    joined, cofactor, den = recursion._eval_numerators(
+                        family, n, big_x, big_y, d, d)
+                    assert_reduced(joined, cofactor, den, d, (family, n, x, y))
                     if n < 4:
                         pair = symbolic_n3[family] if n == 3 else tutte_pair(family, n)
                         assert Fraction(joined, den) == pair.joined.evaluate(x, y)
                         assert Fraction(cofactor, den) == pair.cofactor.evaluate(x, y)
+
+    # (q, v) with v = P/F whose numerator shares a prime with D, then one
+    # whose does not.
+    POTTS_POINTS = [(Fraction(10), Fraction(-20, 3)), (Fraction(7, 4), Fraction(6, 5)),
+                    (Fraction(3), Fraction(-15, 2)), (Fraction(-9, 10), Fraction(4, 3)),
+                    (Fraction(9, 4), Fraction(3, 2))]
+
+    def test_potts_base_state(self):
+        # potts_lattice reduces against F D / h, h = gcd(P, D); the state is
+        # then the split state times (D / base)^e, e = 2 (4^n - 1) / 3.
+        for family in LatticeFamily:
+            for q, v in self.POTTS_POINTS:
+                x, y = (q + v) / v, v + 1
+                big_x, big_y, d = recursion._homogeneous(x, y)
+                base = v.denominator * d // math.gcd(v.numerator, d)
+                for n in range(7):
+                    joined, cofactor, den = recursion._eval_numerators(
+                        family, n, big_x, big_y, d, base)
+                    assert_reduced(joined, cofactor, den, base, (family, n, q, v))
+                    scale = Fraction(d, base) ** (2 * (4 ** n - 1) // 3)
+                    pair = eval_pair(family, n, x, y)
+                    assert Fraction(joined, den) == pair.joined * scale, (family, n, q, v)
+                    assert Fraction(cofactor, den) == pair.cofactor * scale, (family, n, q, v)
+
+    def test_potts_with_a_shared_prime_takes_well_under_a_second(self):
+        # v's numerator 15 shares the prime 5 with D = 10.  Reducing
+        # q v^(|V| - 1) T a second time took about 3 s (2-vCPU host,
+        # Python 3.11).
+        start = time.perf_counter()
+        potts_lattice(LatticeFamily.FRACTAL, 9, PottsParams(3, Fraction(-15, 2)))
+        assert time.perf_counter() - start < 1
 
     def test_partial_cancellation_near_the_cap_takes_seconds(self):
         # Only some primes of D cancel here.  Carried to the end, the shared
@@ -513,12 +553,7 @@ class TestCaps:
     def test_eval_size_cap_raises_before_any_step(self, monkeypatch):
         # 2 (4^10 - 1) / 3 = 699,050 times 25 bits, the largest of |X|, |Y|
         # and D here, is past 2^24 bits; 24 bits is just inside.
-        class Stepped(Exception):
-            pass
-
-        def no_step(*args):
-            raise Stepped
-        monkeypatch.setattr(recursion, "_STEPS", dict.fromkeys(LatticeFamily, no_step))
+        forbid_steps(monkeypatch)
         for point in [(Fraction(1, 2 ** 24 + 1), 2), (2 ** 24 + 1, 2), (1, -2 ** 24 - 1)]:
             with pytest.raises(CapExceeded):
                 tutte_eval(LatticeFamily.FRACTAL, 10, *point)
