@@ -19,7 +19,7 @@ from .bipoly import BiPoly
 from .errors import CapExceeded, DomainError
 from .lattices import LatticeFamily, Multigraph, check_generation, lattice_counts
 from .recursion import (SYMBOLIC_GENERATION_CAP, _check_size, _eval_numerators, _four_sum,
-                        _homogeneous, _numerator_bits, lowest_terms)
+                        _homogeneous, lowest_terms)
 
 POTTS_STATE_CAP = 2 ** 24
 
@@ -209,15 +209,14 @@ def potts_lattice(family: LatticeFamily, n: int, params: PottsParams) -> Fractio
     numerators' degree e = 2 (4^n - 1) / 3, so Z = q v^e (v J + q C) / den.  With
     q = Q/E, v = P/F and h = gcd(P, D) the recursion reduces against F D/h, its
     state carries (h/F)^e, and Z = Q (P/h)^e (P E J + Q F C) / (E^2 F den) is
-    reduced once: P/h shares no prime with F D/h.  Its predicted size, the
-    numerators' bits plus e ceil(log2 |P/h|), is refused before any step.
+    reduced once: P/h shares no prime with F D/h.  The driver's size rule
+    counts the bits of both F D/h and the power, e ceil(log2 |P/h|).
     """
     (q_num, q_den), (v_num, v_den) = params.q.as_integer_ratio(), params.v.as_integer_ratio()
     big_x, big_y, d = _homogeneous(*tutte_arguments(params))
     h, e = math.gcd(v_num, d), 2 * _four_sum(n)
-    _check_size("Potts partition value",
-                _numerator_bits(n, big_x, big_y, d) + e * (abs(v_num // h) - 1).bit_length())
-    joined, cofactor, den = _eval_numerators(family, n, big_x, big_y, d, v_den * d // h)
+    joined, cofactor, den = _eval_numerators(family, n, big_x, big_y, d, v_den * d // h,
+                                             e * (abs(v_num // h) - 1).bit_length())
     return lowest_terms(q_num * (v_num // h) ** e
                         * (v_num * q_den * joined + q_num * v_den * cofactor),
                         q_den * q_den * v_den * den, q_den * v_den * d // h)

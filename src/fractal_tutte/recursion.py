@@ -200,22 +200,22 @@ def lowest_terms(numerator: int, denominator: int, base: int) -> Fraction:
             numerator, denominator, power = num, den, power * power
 
 
-def _numerator_bits(n: int, big_x: int, big_y: int, d: int) -> int:
-    """Predicted bits of the generation-n numerators at (X/D, Y/D), which
-    are homogeneous of degree e_n = 2 (4^n - 1) / 3 in (X, Y, D)."""
-    return 2 * _four_sum(n) * max(abs(big_x), abs(big_y), d).bit_length()
-
-
 def _eval_numerators(family: LatticeFamily, n: int, big_x: int, big_y: int, d: int,
-                     base: int) -> Tuple[int, int, int]:
+                     base: int, power_bits: int = 0) -> Tuple[int, int, int]:
     """(J, C, den): (J/den, C/den) is the split state at x = X/D, y = Y/D
     times (D/base)^e, e = 2 (4^n - 1) / 3, so base = D gives the state itself.
+
+    Before the first step the size rule predicts e bits(max(|X|, |Y|, D, base))
+    plus the bits of any power the caller forms with the result, power_bits:
+    J and C are homogeneous of degree e in (X, Y, D), and den divides base^e.
 
     Each step runs on integers and sets den -> den^4 base^2, so every prime of
     den divides base; then J, C and den are divided by g = gcd(J, C, den, base),
     found from their remainders by base, while g > 1, and no common factor is
     carried into the next step to be raised to the fourth.
     """
+    top = max(abs(big_x), abs(big_y), d, base)
+    _check_size("exact value", 2 * _four_sum(n) * top.bit_length() + power_bits)
     joined, cofactor, den = 1, 1, 1
     for _ in range(n):
         joined, cofactor = _rule(family, joined, cofactor, big_x, big_y, d)
@@ -230,7 +230,6 @@ def eval_pair(family: LatticeFamily, n: int,
     """Split state evaluated at a rational point, without symbolic blowup:
     each part of (J/den, C/den) is brought to lowest terms once."""
     big_x, big_y, d = _homogeneous(Fraction(x), Fraction(y))
-    _check_size("evaluation numerators", _numerator_bits(n, big_x, big_y, d))
     joined, cofactor, den = _eval_numerators(family, n, big_x, big_y, d, d)
     return TuttePair(lowest_terms(joined, den, d), lowest_terms(cofactor, den, d))
 
@@ -240,6 +239,5 @@ def tutte_eval(family: LatticeFamily, n: int,
     """Exact value of the generation-n Tutte polynomial at a rational point:
     J + (x - 1) C = (D J + (X - D) C) / (D den), brought to lowest terms once."""
     big_x, big_y, d = _homogeneous(Fraction(x), Fraction(y))
-    _check_size("evaluation numerators", _numerator_bits(n, big_x, big_y, d))
     joined, cofactor, den = _eval_numerators(family, n, big_x, big_y, d, d)
     return lowest_terms(d * joined + (big_x - d) * cofactor, d * den, d)

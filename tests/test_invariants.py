@@ -1,5 +1,6 @@
 """Closed-form invariants, growth constants, and Potts partition functions."""
 
+import contextlib
 import math
 import random
 import time
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fractal_tutte import invariants, oracle
+from fractal_tutte import oracle, recursion
 from fractal_tutte.bipoly import BiPoly
 from fractal_tutte.errors import CapExceeded, DomainError
 from fractal_tutte.invariants import (
@@ -308,17 +309,15 @@ class TestPottsViaTutte:
 
     @staticmethod
     def prediction(monkeypatch, family, n, params):
-        """The bits potts_lattice checks against the cap; nothing is evaluated."""
-        class Predicted(Exception):
-            pass
-
-        def record(what, bits):
-            raise Predicted(bits)
+        """The bits of the last size check potts_lattice makes, the driver's;
+        no step runs."""
+        checked = []
         with monkeypatch.context() as patch:
-            patch.setattr(invariants, "_check_size", record)
-            with pytest.raises(Predicted) as info:
+            patch.setattr(recursion, "_check_size", lambda what, bits: checked.append(bits))
+            forbid_steps(patch)
+            with contextlib.suppress(Stepped):
                 potts_lattice(family, n, params)
-        return info.value.args[0]
+        return checked[-1]
 
     def test_factor_q_v_power_counts_against_the_cap(self, monkeypatch):
         forbid_steps(monkeypatch)
@@ -339,12 +338,31 @@ class TestPottsViaTutte:
             potts_lattice(LatticeFamily.FRACTAL, 11, PottsParams(Fraction(49, 4), Fraction(7, 2)))
         assert time.perf_counter() - start < 0.5
 
-    def test_admitted_value_stays_within_its_prediction(self):
+    def test_admitted_value_stays_within_its_prediction(self, monkeypatch):
         # At n = 9 the numerator alone (834,056 bits) is past the numerators'
         # share of the prediction (524,286 bits), but within the whole.
         value = potts_lattice(LatticeFamily.FRACTAL, 9, self.PARAMS)
         bits = max(abs(value.numerator).bit_length(), value.denominator.bit_length())
         assert 2 * (4 ** 9 - 1) // 3 * 3 < bits <= self.predicted_bits(9)
+        # At q = v = 1/31 the point is (62/31, 32/31) and the base is
+        # F D / h = 961.  The denominator, about 31^(2e + 2), is past
+        # e bits(max(|X|, |Y|, D)) = 6e bits and within e bits(961) = 10e.
+        params, e = PottsParams(Fraction(1, 31), Fraction(1, 31)), 2 * (4 ** 8 - 1) // 3
+        value = potts_lattice(LatticeFamily.FRACTAL, 8, params)
+        predicted = self.prediction(monkeypatch, LatticeFamily.FRACTAL, 8, params)
+        assert predicted == 10 * e
+        assert abs(value.numerator).bit_length() <= predicted
+        assert 6 * e < value.denominator.bit_length() <= predicted
+
+    def test_base_past_the_point_counts_against_the_cap(self, monkeypatch):
+        # At q = v = 1/31 and n = 11 the base 961 has 10 bits, and the value
+        # would have a denominator of about 27.7 million bits.
+        forbid_steps(monkeypatch)
+        params = PottsParams(Fraction(1, 31), Fraction(1, 31))
+        assert self.prediction(monkeypatch, LatticeFamily.FRACTAL, 11, params) \
+            == 2 * (4 ** 11 - 1) // 3 * 10
+        with pytest.raises(CapExceeded):
+            potts_lattice(LatticeFamily.FRACTAL, 11, params)
 
     def test_prediction_is_at_most_the_two_check_rule(self, monkeypatch):
         # The rule of the route that formed q v^(|V| - 1) T from T's Fraction:

@@ -463,13 +463,13 @@ class TestReducedState:
                     assert Fraction(joined, den) == pair.joined * scale, (family, n, q, v)
                     assert Fraction(cofactor, den) == pair.cofactor * scale, (family, n, q, v)
 
-    def test_potts_with_a_shared_prime_takes_well_under_a_second(self):
+    def test_potts_with_a_shared_prime_takes_well_under_three_seconds(self):
         # v's numerator 15 shares the prime 5 with D = 10.  Reducing
-        # q v^(|V| - 1) T a second time took about 3 s (2-vCPU host,
-        # Python 3.11).
+        # q v^(|V| - 1) T a second time took about 3 s, against 0.2 s
+        # (2-vCPU host, Python 3.11).
         start = time.perf_counter()
         potts_lattice(LatticeFamily.FRACTAL, 9, PottsParams(3, Fraction(-15, 2)))
-        assert time.perf_counter() - start < 1
+        assert time.perf_counter() - start < 2
 
     def test_partial_cancellation_near_the_cap_takes_seconds(self):
         # Only some primes of D cancel here.  Carried to the end, the shared
