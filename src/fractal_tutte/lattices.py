@@ -12,24 +12,29 @@ marks two hubs as the special vertex pair carried by the recursion.
     3-copy path between them).
 
 Generation 0 is a single edge whose endpoints are the special pair.  Vertex
-labels follow an index rule, so repeated builds are identical: vertex v of
-copy c starts as index c*n + v, where n is the old vertex count; each hub
-keeps the index of its earlier copy, so 1.sx, 2.sx, 3.sx and 3.sy become
-0.sx, 0.sy, 1.sy and 2.sy; and every other index is lowered by the number
-of merged indices below it.
+labels follow a formula, so repeated builds are identical.  With n old
+vertices and special pair (0, sy), write c.w for vertex w of copy c:
+
+  * copy 0 keeps its labels;
+  * copy c in {1, 2} maps w >= 1 to w + c(n - 1);
+  * copy 3 maps 1 <= w < sy to w + 3n - 3, and w > sy to w + 3n - 4;
+  * the hubs 1.0, 2.0, 3.0 and 3.sy, merged into 0.0, 0.sy, 1.sy and
+    2.sy, get the labels 0, sy, n + sy - 1 and 2n + sy - 2.
+
+So the new graph has 4n - 4 vertices, every label lies in [0, 4n - 4) and no
+build needs a range check.  The fractal's extra edge is (sy, n + sy - 1),
+and special_y becomes 2n + sy - 2 (flower13 keeps sy).
 
 A graph's edges are two endpoint columns, flat int lists `tails` and
 `heads`, with edge i = (tails[i], heads[i]) and tails[i] < heads[i] in
-every built lattice.  No index is merged into copy 0, so its edges are the
-old columns copied; each other copy maps the old columns through its slice
-of the label list (one C-level `map` per copy and column).  Labels keep the
-order of unmerged indices and put each hub below the rest of its copy, and
-special_x stays 0, never a head, so only copy 3's edges into hub 3.sy can
-turn around; only those are checked and swapped back.  Each new endpoint is
-an old one or an entry of the label list, so one bound check on that list
-keeps all endpoints in range, and the built lattice skips the constructor's
-scan of its columns.  No object is made per edge, and the columns share the
-label list's int objects: building fractal n=8 peaks at about 41 traced
+every built lattice.  The old columns are copy 0 and are extended in place:
+each other copy maps them through its own label list (one C-level `map`
+per copy and column).  The labels keep the order of each copy's other
+vertices and put each hub below the rest of its copy, and special_x stays
+0, never a head, so only copy 3's edges into hub 3.sy can turn around; only
+those are checked and swapped back.  The built lattice skips the constructor's scan
+of its columns.  No object is made per edge, and the columns share the
+label lists' int objects: building fractal n=8 peaks at about 34 traced
 bytes per edge.  The edge list is written from the columns in chunks of
 `_CHUNK_EDGES` lines, one string-format call each.
 """
@@ -40,7 +45,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from contextlib import suppress
-from itertools import chain, starmap
+from itertools import chain, islice, starmap
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from .errors import CapExceeded
@@ -168,45 +173,37 @@ def check_generation(n: int, cap: Optional[int] = None) -> None:
         raise CapExceeded(f"generation {n} exceeds cap {cap}")
 
 
-def _next_generation(n_old: int, sy: int, old_tails: List[int], old_heads: List[int],
+def _next_generation(n: int, sy: int, tails: List[int], heads: List[int],
                      family: LatticeFamily) -> Tuple[int, int, List[int], List[int]]:
-    """Glue four copies of a generation into the ring: (vertices, special_y, tails, heads)."""
+    """Glue four copies of a generation into the ring: (vertices, special_y,
+    tails, heads).  The given columns are copy 0 and are extended in place;
+    build_lattice, the only caller, hands over columns it no longer needs."""
     # Ring layout: copies 0 and 1 leave the left hub, copies 2 and 3 enter
     # the right hub, and the two middle hubs chain copy 0 to 2 and 1 to 3.
-    # Each hub keeps the index of its earlier copy (see the module docstring).
-    merged = {n_old: 0, 2 * n_old: sy, 3 * n_old: n_old + sy, 3 * n_old + sy: 2 * n_old + sy}
-    vertex_count = 4 * n_old - len(merged)
-    # Every merged index lies above copy 0, so copy 0 keeps its labels and
-    # its edges are the old columns; `upper` labels the indices from n_old up.
-    upper: List[int] = []
-    for below, index in enumerate(sorted(merged)):
-        # Every surviving index before this merged one has `below` merged
-        # indices under it.
-        upper.extend(range(n_old + len(upper) - below, index - below))
-        target = merged[index]
-        upper.append(target if target < n_old else upper[target - n_old])
-    upper.extend(range(n_old + len(upper) - len(merged), vertex_count))
-    if not (0 <= min(upper) and max(upper) < vertex_count):
-        raise ValueError("vertex label out of range")
+    # Each copy's labels follow the formula in the module docstring.
+    m = len(tails)
+    hub = 2 * n + sy - 2
 
-    tails, heads = list(old_tails), list(old_heads)
-    for copy in range(3):
-        copy_label = upper[copy * n_old:(copy + 1) * n_old].__getitem__
-        tails.extend(map(copy_label, old_tails))
-        heads.extend(map(copy_label, old_heads))
+    def add_copy(labels: List[int]) -> None:
+        tails.extend(map(labels.__getitem__, islice(tails, m)))
+        heads.extend(map(labels.__getitem__, islice(heads, m)))
+
+    add_copy([0, *range(n, 2 * n - 1)])
+    add_copy([sy, *range(2 * n - 1, 3 * n - 2)])
+    add_copy([n + sy - 1, *range(3 * n - 2, 3 * n + sy - 3), hub, *range(3 * n + sy - 3, 4 * n - 4)])
     if family is LatticeFamily.FRACTAL:
         tails.append(sy)
-        heads.append(upper[sy])
+        heads.append(n + sy - 1)
     # Swap back copy 3's edges into hub 3.sy that turned around, each found
     # by a C-level scan of the heads column.
-    hub, i = upper[n_old + sy], 3 * len(old_heads)
+    i = 3 * m
     with suppress(ValueError):
         while True:
             i = heads.index(hub, i) + 1
             if tails[i - 1] > hub:
                 tails[i - 1], heads[i - 1] = hub, tails[i - 1]
 
-    return vertex_count, sy if family is LatticeFamily.FLOWER13 else hub, tails, heads
+    return 4 * n - 4, sy if family is LatticeFamily.FLOWER13 else hub, tails, heads
 
 
 def build_lattice(family: LatticeFamily, n: int) -> Multigraph:

@@ -98,7 +98,7 @@ class TestStructure:
 
     # Recorded at commit a008d65, whose build merged the hubs with a
     # union-find, and at n=10 from the build that kept one tuple per edge;
-    # the index rule and the column layout must keep every label, edge and
+    # the label formula and the column layout must keep every label, edge and
     # special pair.
     EDGE_LIST_SHA256 = {
         (LatticeFamily.FRACTAL, 8): "e05c4188468b97dcb3d2efdce5aa5bb4300393b667bcfc679b9b86802e19c5cc",
@@ -147,6 +147,27 @@ class TestMemory:
             tracemalloc.stop()
         assert text.endswith("\n")
         assert peak / g.edge_count < self.BYTES_PER_EDGE_BOUND
+
+    # Peak bytes traced per edge while building each family at n=8, with no
+    # edge list.  Extending the old columns in place through one label list
+    # per copy measured 33.7 (fractal) and 40.2 (flowers) on Python 3.11-3.13
+    # and 31.7 and 37.6 on 3.10; copying the old columns and slicing a 3n-entry
+    # label list measured 40.9 and 47.2-47.7, and 38.9 and 44.5-45.0 on 3.10.
+    BUILD_BYTES_PER_EDGE_BOUND = {
+        LatticeFamily.FRACTAL: 36,
+        LatticeFamily.FLOWER22: 42,
+        LatticeFamily.FLOWER13: 42,
+    }
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_build_peak_per_edge(self, family):
+        tracemalloc.start()
+        try:
+            g = build_lattice(family, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / g.edge_count < self.BUILD_BYTES_PER_EDGE_BOUND[family]
 
 
 class TestCaps:
