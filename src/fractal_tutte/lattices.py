@@ -32,11 +32,11 @@ each other copy maps them through its own label list (one C-level `map`
 per copy and column).  The labels keep the order of each copy's other
 vertices and put each hub below the rest of its copy, and special_x stays
 0, never a head, so only copy 3's edges into hub 3.sy can turn around; only
-those are checked and swapped back.  The built lattice skips the constructor's scan
-of its columns.  No object is made per edge, and the columns share the
-label lists' int objects: building fractal n=8 peaks at about 34 traced
-bytes per edge.  The edge list is written from the columns in chunks of
-`_CHUNK_EDGES` lines, one string-format call each.
+those are checked and swapped back.  The built lattice skips the
+constructor's scan of its columns.  No object is made per edge, and the
+columns share the label lists' int objects: building fractal n=8 peaks at
+about 34 traced bytes per edge.  The edge list is written from the columns
+in chunks of `_CHUNK_EDGES` lines, one string-format call each.
 """
 
 from __future__ import annotations
@@ -190,7 +190,8 @@ def _next_generation(n: int, sy: int, tails: List[int], heads: List[int],
 
     add_copy([0, *range(n, 2 * n - 1)])
     add_copy([sy, *range(2 * n - 1, 3 * n - 2)])
-    add_copy([n + sy - 1, *range(3 * n - 2, 3 * n + sy - 3), hub, *range(3 * n + sy - 3, 4 * n - 4)])
+    add_copy([n + sy - 1, *range(3 * n - 2, 3 * n + sy - 3),
+              hub, *range(3 * n + sy - 3, 4 * n - 4)])
     if family is LatticeFamily.FRACTAL:
         tails.append(sy)
         heads.append(n + sy - 1)
