@@ -42,7 +42,6 @@ from .invariants import (
     growth_constant,
     potts_direct,
     potts_lattice,
-    potts_partition,
     spanning_tree_count,
     strong_orientation_indegree_sequences,
     tutte_arguments,
@@ -80,7 +79,6 @@ __all__ = [
     "growth_constant",
     "potts_direct",
     "potts_lattice",
-    "potts_partition",
     "spanning_tree_count",
     "strong_orientation_indegree_sequences",
     "tutte_arguments",

@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import checks, invariants, oracle, recursion
 from .bipoly import EXACT_CONTEXT
@@ -27,8 +27,10 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_DOMAIN = 4
 
-# Integers up to this many bits go to Decimal directly in _decimal.
-_DECIMAL_PIECE_BITS = 1024
+# Exact values are worked out in the decimal ring, whose str() is linear in
+# the length (an int's is capped at 4300 digits and quadratic on 3.11), each
+# operation in a local copy of EXACT_CONTEXT, never the caller's context.
+_ONE = decimal.Decimal(1)
 
 # tutte --mode oracle runs the subset oracle's vertex elimination alone: at
 # n = 3 it takes about 0.2 s for the fractal and 0.03 s for either flower;
@@ -74,42 +76,10 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _decimal(value: int) -> str:
-    """Decimal digits of a result, however long, in near-linear time.
-
-    str(int) takes time quadratic in the length and is capped at 4300
-    digits by default (the cap stays in force for parsing command-line
-    numbers).  Instead the int is split in binary halves, and the halves are
-    joined as lo + hi * 2**w in Decimal arithmetic, whose products are
-    subquadratic and whose string form has no cap.  The arithmetic runs in
-    the exact context, never in the caller's thread-local one.
-    """
-    ctx = EXACT_CONTEXT
-    powers: Dict[int, decimal.Decimal] = {}
-
-    def power_of_two(width: int) -> decimal.Decimal:
-        if width not in powers:
-            half = width // 2
-            powers[width] = (ctx.create_decimal(1 << width) if width <= _DECIMAL_PIECE_BITS
-                             else ctx.multiply(power_of_two(half), power_of_two(width - half)))
-        return powers[width]
-
-    def convert(n: int, width: int) -> decimal.Decimal:
-        if width <= _DECIMAL_PIECE_BITS:
-            return ctx.create_decimal(n)
-        half = width // 2
-        hi = n >> half
-        return ctx.add(convert(n - (hi << half), half),
-                       ctx.multiply(convert(hi, width - half), power_of_two(half)))
-
-    digits = ctx.to_sci_string(convert(abs(value), abs(value).bit_length()))
-    return "-" + digits if value < 0 else digits
-
-
-def _rational_value(value: Fraction) -> Union[str, dict]:
-    if value.denominator == 1:
-        return _decimal(value.numerator)
-    return {"num": _decimal(value.numerator), "den": _decimal(value.denominator)}
+def _rational_value(numerator: decimal.Decimal, denominator: decimal.Decimal) -> Union[str, dict]:
+    if denominator == 1:
+        return str(numerator)
+    return {"num": str(numerator), "den": str(denominator)}
 
 
 def _dumps(record: dict) -> str:
@@ -200,52 +170,55 @@ def _cmd_tutte(args) -> str:
 
 
 def _cmd_eval(args) -> str:
-    value = recursion.tutte_eval(args.family, args.n, args.x, args.y)
+    with decimal.localcontext(EXACT_CONTEXT):
+        value = _rational_value(*recursion._tutte_value(args.family, args.n, args.x, args.y, _ONE))
     record = {
         "family": args.family.value,
         "n": args.n,
         "quantity": "tutte-eval",
         "x": str(args.x),
         "y": str(args.y),
-        "value": _rational_value(value),
+        "value": value,
     }
     return _dumps(record)
 
 
 def _cmd_invariant(args) -> str:
-    family = args.family
-    if args.quantity == "spanning-trees":
-        value = invariants.spanning_tree_count(family, args.n)
-    else:
-        if family is not LatticeFamily.FRACTAL:
-            raise DomainError(
-                f"quantity {args.quantity!r} has a closed form only for the fractal family"
-            )
-        if args.quantity == "acyclic-root-connected":
-            value = invariants.acyclic_root_connected_orientations(args.n)
+    family, n = args.family, args.n
+    if args.quantity != "spanning-trees" and family is not LatticeFamily.FRACTAL:
+        raise DomainError(
+            f"quantity {args.quantity!r} has a closed form only for the fractal family"
+        )
+    with decimal.localcontext(EXACT_CONTEXT):
+        if args.quantity == "spanning-trees":
+            value = invariants._spanning_trees(family, n, _ONE)
+        elif args.quantity == "acyclic-root-connected":
+            value = invariants._acyclic_orientations(n, _ONE)
         elif args.quantity == "indegree-sequences":
-            value = invariants.strong_orientation_indegree_sequences(args.n)
+            value = invariants._indegree_sequences(n, _ONE)
         else:
-            value = invariants.bicycle_space_dimension(args.n)
+            value = recursion._four_sum(n, _ONE)  # the bicycle-space dimension
+        digits = str(value)
     record = {
         "family": family.value,
-        "n": args.n,
+        "n": n,
         "quantity": args.quantity,
-        "value": _decimal(value),
+        "value": digits,
     }
     return _dumps(record)
 
 
 def _cmd_potts(args) -> str:
     params = invariants.PottsParams(args.q, args.v)
-    value = invariants.potts_lattice(args.family, args.n, params)
+    with decimal.localcontext(EXACT_CONTEXT):
+        value = _rational_value(*invariants._potts_value(args.family, args.n, params, _ONE))
     record = {
         "family": args.family.value,
         "n": args.n,
         "quantity": "potts-partition",
         "q": str(params.q),
         "v": str(params.v),
-        "value": _rational_value(value),
+        "value": value,
     }
     return _dumps(record)
 

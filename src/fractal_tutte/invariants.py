@@ -2,9 +2,12 @@
 
 Spanning-tree and orientation counts are arbitrary-precision integers and
 Potts partition values rationals, each refused before it is formed if its
-predicted size passes the recursion's one bit cap; a closed form predicts its
-size from its {base: exponent} product.  Only the growth constants pass
-through floating point, via logarithms of the closed forms.
+predicted size passes the recursion's one bit cap; a closed form predicts
+its size from its {base: exponent} product.  The counts and the lattice
+Potts value come from private functions that work in the ring of their
+argument one: int for the public functions, Decimal for the CLI.  Only the
+growth constants pass through floating point, via logarithms of the closed
+forms.
 """
 
 from __future__ import annotations
@@ -18,15 +21,15 @@ from typing import Collection, Dict, Iterable, Tuple, Union
 from .bipoly import BiPoly
 from .errors import CapExceeded, DomainError
 from .lattices import LatticeFamily, Multigraph, check_generation, lattice_counts
-from .recursion import (SYMBOLIC_GENERATION_CAP, _check_size, _eval_numerators, _four_sum,
-                        _homogeneous, lowest_terms)
+from .recursion import (SYMBOLIC_GENERATION_CAP, Ring, _check_size, _coprime, _eval_numerators,
+                        _four_sum, _homogeneous, lowest_terms)
 
 POTTS_STATE_CAP = 2 ** 24
 
 RationalLike = Union[int, Fraction]
 
 
-def _exact_div(numerator: int, denominator: int) -> int:
+def _exact_div(numerator: Ring, denominator: int) -> Ring:
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
         raise ArithmeticError(f"{numerator} not divisible by {denominator}")
@@ -39,10 +42,12 @@ def _product_bits(factors: Iterable[Tuple[RationalLike, int]]) -> int:
                for b, e in factors)
 
 
-def _product(what: str, factors: Collection[Tuple[RationalLike, int]]) -> RationalLike:
-    """The product of base ** exponent, refused by the size rule before it is formed."""
+def _product(what: str, factors: Collection[Tuple[RationalLike, int]],
+             one: Ring = 1) -> Union[RationalLike, Ring]:
+    """The product of base ** exponent, each power formed in the ring of one,
+    refused by the size rule before it is formed."""
     _check_size(what, _product_bits(factors))
-    return math.prod(base ** exponent for base, exponent in factors)
+    return math.prod(pow(one * base, exponent) for base, exponent in factors)
 
 
 def _tree_count_exponents(family: LatticeFamily, n: int) -> Dict[int, int]:
@@ -57,25 +62,37 @@ def _tree_count_exponents(family: LatticeFamily, n: int) -> Dict[int, int]:
 
 def spanning_tree_count(family: LatticeFamily, n: int) -> int:
     """Number of spanning trees of generation n, in closed form."""
-    return _product("spanning-tree count", _tree_count_exponents(family, n).items())
+    return _spanning_trees(family, n, 1)
+
+
+def _spanning_trees(family: LatticeFamily, n: int, one: Ring) -> Ring:
+    return _product("spanning-tree count", _tree_count_exponents(family, n).items(), one)
 
 
 def acyclic_root_connected_orientations(n: int) -> int:
     """Acyclic orientations of the fractal lattice with a unique fixed sink:
     the product over i of (i + 1) ** (2 * 4^(n - i))."""
+    return _acyclic_orientations(n, 1)
+
+
+def _acyclic_orientations(n: int, one: Ring) -> Ring:
     power = 3 * _four_sum(n) + 1  # 4^n
     # The i = 1 factor alone has 4^n / 2 bits; past the cap, no n exponents are made.
     _check_size("acyclic orientation count", power // 2)
     return _product("acyclic orientation count",
-                    [(i + 1, 2 * (power >> 2 * i)) for i in range(n + 1)])
+                    [(i + 1, 2 * (power >> 2 * i)) for i in range(n + 1)], one)
 
 
 def strong_orientation_indegree_sequences(n: int) -> int:
     """Indegree-sequence count over strong orientations of the fractal lattice:
     half of n times the sink-rooted acyclic count, defined for n >= 1."""
+    return _indegree_sequences(n, 1)
+
+
+def _indegree_sequences(n: int, one: Ring) -> Ring:
     if n < 1:
         raise DomainError("indegree-sequence count is defined for generations >= 1")
-    return _exact_div(n * acyclic_root_connected_orientations(n), 2)
+    return _exact_div(n * _acyclic_orientations(n, one), 2)
 
 
 def bicycle_space_dimension(n: int) -> int:
@@ -167,19 +184,6 @@ def tutte_arguments(params: PottsParams) -> Tuple[Fraction, Fraction]:
     return (params.q + params.v) / params.v, params.v + 1
 
 
-def potts_partition(vertex_count: int, component_count: int,
-                    tutte_value: Fraction, params: PottsParams) -> Fraction:
-    """Partition function from a Tutte evaluation at the matching point.
-
-    Z = q^k * v^(|V| - k) * T((q + v) / v, v + 1) for a graph with |V|
-    vertices and k components.
-    """
-    if params.v == 0:
-        raise DomainError("coupling v = 0 has no Tutte-plane image")
-    q, v = params.q, params.v
-    return q ** component_count * v ** (vertex_count - component_count) * tutte_value
-
-
 def potts_direct(g: Multigraph, params: PottsParams) -> Fraction:
     """Partition function by summing over every q-coloring directly.
 
@@ -212,11 +216,17 @@ def potts_lattice(family: LatticeFamily, n: int, params: PottsParams) -> Fractio
     reduced once: P/h shares no prime with F D/h.  The driver's size rule
     counts the bits of both F D/h and the power, e ceil(log2 |P/h|).
     """
+    return _coprime(*_potts_value(family, n, params, 1))
+
+
+def _potts_value(family: LatticeFamily, n: int, params: PottsParams,
+                 one: Ring) -> Tuple[Ring, Ring]:
+    """potts_lattice's value as (numerator, denominator) in lowest terms, in the ring of one."""
     (q_num, q_den), (v_num, v_den) = params.q.as_integer_ratio(), params.v.as_integer_ratio()
     big_x, big_y, d = _homogeneous(*tutte_arguments(params))
     h, e = math.gcd(v_num, d), 2 * _four_sum(n)
     joined, cofactor, den = _eval_numerators(family, n, big_x, big_y, d, v_den * d // h,
-                                             e * (abs(v_num // h) - 1).bit_length())
-    return lowest_terms(q_num * (v_num // h) ** e
+                                             e * (abs(v_num // h) - 1).bit_length(), one)
+    return lowest_terms(q_num * pow(one * (v_num // h), e)
                         * (v_num * q_den * joined + q_num * v_den * cofactor),
                         q_den * q_den * v_den * den, q_den * v_den * d // h)

@@ -9,7 +9,8 @@ the full polynomial is reassembled as joined + (x - 1) * cofactor.
 Each part of the next pair is a quartic form in the pair (t, c).  One plain
 function per family forms both parts from t^2, t c and c^2 over any
 commutative ring, so the same arithmetic runs symbolically on polynomials
-and pointwise on the integer numerators of a rational point.  After t^2,
+and pointwise on the integer numerators of a rational point, as ints or,
+for the CLI, as Decimals.  After t^2,
 t c and c^2, the parts take these quartic-size products:
 
 - fractal: joined = t^2 (y(y - 1) t^2 + 4y t c + 2(x + 1) c^2), and the
@@ -30,6 +31,7 @@ transposes it.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, NamedTuple, Tuple, Union
 
@@ -40,7 +42,7 @@ from .lattices import LatticeFamily, check_generation
 SYMBOLIC_GENERATION_CAP = 4
 EVAL_NUMERATOR_BITS_CAP = 1 << 24
 
-Ring = Union[BiPoly, int]
+Ring = Union[BiPoly, int, Decimal]
 
 
 def _check_size(what: str, bits: int) -> None:
@@ -51,12 +53,12 @@ def _check_size(what: str, bits: int) -> None:
         raise CapExceeded(f"{what} of about {size} bits exceeds cap {EVAL_NUMERATOR_BITS_CAP}")
 
 
-def _four_sum(n: int) -> int:
-    """1 + 4 + ... + 4^(n - 1) = (4^n - 1) / 3, a lower bound on every other exact
-    value's predicted bits; refused by its own 2n - 1 bits before 4^n is formed."""
+def _four_sum(n: int, one: Ring = 1) -> Ring:
+    """1 + 4 + ... + 4^(n - 1) = (4^n - 1) / 3 in the ring of one, a lower bound on every
+    other exact value's predicted bits; refused by its own 2n - 1 bits before 4^n is formed."""
     check_generation(n)
     _check_size(f"(4^{n} - 1) / 3", 2 * n - 1)
-    return ((1 << 2 * n) - 1) // 3
+    return (pow(4 * one, n) - 1) // 3
 
 
 class TuttePair(NamedTuple):
@@ -175,23 +177,26 @@ else:
         return Fraction(numerator, denominator, _normalize=False)
 
 
-def lowest_terms(numerator: int, denominator: int, base: int) -> Fraction:
-    """numerator/denominator as a Fraction, given that every prime factor of
-    the positive denominator divides the small positive base.
+def lowest_terms(numerator: Ring, denominator: Ring, base: int) -> Tuple[Ring, Ring]:
+    """(numerator, denominator) in lowest terms, in their ring, int or Decimal,
+    given that every prime factor of the positive denominator divides the
+    small positive int base.  A zero numerator comes back unsigned, over 1.
 
-    Every gcd taken has base, or a divisor of it, as one operand, so the
+    Every gcd is of small ints, remainders by base or a divisor of it, so the
     common case of a fraction already in lowest terms costs two remainders
-    by base; base itself is never factored.
+    by base; base itself is never factored.  Division is exact, never /, by
+    powers of g formed in the ring.
     """
+    ring = type(denominator)
     if not numerator:
-        return Fraction(0)
+        return abs(numerator), ring(1)
     while True:
-        shared = math.gcd(denominator % base, base)
-        g = math.gcd(numerator % shared, shared)
+        shared = math.gcd(int(denominator % base), base)
+        g = math.gcd(int(numerator % shared), shared)
         if g == 1:
-            return _coprime(numerator, denominator)
+            return numerator, denominator
         # Divide by g, g^2, g^4, ... while both stay divisible.
-        power = g
+        power = ring(g)
         while True:
             num, num_rem = divmod(numerator, power)
             den, den_rem = divmod(denominator, power)
@@ -201,26 +206,27 @@ def lowest_terms(numerator: int, denominator: int, base: int) -> Fraction:
 
 
 def _eval_numerators(family: LatticeFamily, n: int, big_x: int, big_y: int, d: int,
-                     base: int, power_bits: int = 0) -> Tuple[int, int, int]:
-    """(J, C, den): (J/den, C/den) is the split state at x = X/D, y = Y/D
-    times (D/base)^e, e = 2 (4^n - 1) / 3, so base = D gives the state itself.
+                     base: int, power_bits: int = 0, one: Ring = 1) -> Tuple[Ring, Ring, Ring]:
+    """(J, C, den) in the ring of one: (J/den, C/den) is the split state at
+    x = X/D, y = Y/D times (D/base)^e, e = 2 (4^n - 1) / 3, so base = D gives
+    the state itself.
 
     Before the first step the size rule predicts e bits(max(|X|, |Y|, D, base))
     plus the bits of any power the caller forms with the result, power_bits:
     J and C are homogeneous of degree e in (X, Y, D), and den divides base^e.
 
-    Each step runs on integers and sets den -> den^4 base^2, so every prime of
+    Each step runs in the ring and sets den -> den^4 base^2, so every prime of
     den divides base; then J, C and den are divided by g = gcd(J, C, den, base),
     found from their remainders by base, while g > 1, and no common factor is
     carried into the next step to be raised to the fourth.
     """
     top = max(abs(big_x), abs(big_y), d, base)
     _check_size("exact value", 2 * _four_sum(n) * top.bit_length() + power_bits)
-    joined, cofactor, den = 1, 1, 1
+    joined = cofactor = den = one
     for _ in range(n):
         joined, cofactor = _rule(family, joined, cofactor, big_x, big_y, d)
         den = den ** 4 * base * base
-        while (g := math.gcd(joined % base, cofactor % base, den % base, base)) > 1:
+        while (g := math.gcd(int(joined % base), int(cofactor % base), int(den % base), base)) > 1:
             joined, cofactor, den = joined // g, cofactor // g, den // g
     return joined, cofactor, den
 
@@ -231,13 +237,20 @@ def eval_pair(family: LatticeFamily, n: int,
     each part of (J/den, C/den) is brought to lowest terms once."""
     big_x, big_y, d = _homogeneous(Fraction(x), Fraction(y))
     joined, cofactor, den = _eval_numerators(family, n, big_x, big_y, d, d)
-    return TuttePair(lowest_terms(joined, den, d), lowest_terms(cofactor, den, d))
+    return TuttePair(_coprime(*lowest_terms(joined, den, d)),
+                     _coprime(*lowest_terms(cofactor, den, d)))
+
+
+def _tutte_value(family: LatticeFamily, n: int, x: Union[int, Fraction], y: Union[int, Fraction],
+                 one: Ring) -> Tuple[Ring, Ring]:
+    """tutte_eval's value as (numerator, denominator) in lowest terms, in the ring of one."""
+    big_x, big_y, d = _homogeneous(Fraction(x), Fraction(y))
+    joined, cofactor, den = _eval_numerators(family, n, big_x, big_y, d, d, one=one)
+    return lowest_terms(d * joined + (big_x - d) * cofactor, d * den, d)
 
 
 def tutte_eval(family: LatticeFamily, n: int,
                x: Union[int, Fraction], y: Union[int, Fraction]) -> Fraction:
     """Exact value of the generation-n Tutte polynomial at a rational point:
     J + (x - 1) C = (D J + (X - D) C) / (D den), brought to lowest terms once."""
-    big_x, big_y, d = _homogeneous(Fraction(x), Fraction(y))
-    joined, cofactor, den = _eval_numerators(family, n, big_x, big_y, d, d)
-    return lowest_terms(d * joined + (big_x - d) * cofactor, d * den, d)
+    return _coprime(*_tutte_value(family, n, x, y, 1))

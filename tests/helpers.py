@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import starmap
 from typing import Dict, Tuple
 
 from fractal_tutte import recursion
 from fractal_tutte.bipoly import BiPoly
+from fractal_tutte.invariants import PottsParams
 from fractal_tutte.lattices import LatticeFamily, Multigraph, union_find
 
 
@@ -71,6 +73,15 @@ def divisible_by_x_minus_1(p: BiPoly) -> bool:
     for (_, j), c in p.terms().items():
         sums[j] = sums.get(j, 0) + c
     return not any(sums.values())
+
+
+def potts_partition(vertex_count: int, component_count: int,
+                    tutte_value: Fraction, params: PottsParams) -> Fraction:
+    """The tests' reference Potts partition function, from a Tutte evaluation
+    at the matching point: Z = q^k v^(|V| - k) T((q + v) / v, v + 1) for a
+    graph with |V| vertices and k components, v != 0."""
+    q, v = params.q, params.v
+    return q ** component_count * v ** (vertex_count - component_count) * tutte_value
 
 
 def context_settings(context) -> tuple:

@@ -6,8 +6,8 @@ byte-level determinism of the emitted records can be asserted directly.
 
 import decimal
 import hashlib
+import itertools
 import json
-import random
 import sys
 import time
 from fractions import Fraction
@@ -15,9 +15,10 @@ from fractions import Fraction
 import pytest
 
 from fractal_tutte import checks, cli, invariants, lattices, oracle, recursion
-from fractal_tutte.cli import _DECIMAL_PIECE_BITS, _decimal, main
+from fractal_tutte.cli import main
+from fractal_tutte.errors import DomainError
 from fractal_tutte.lattices import LatticeFamily, build_lattice, lattice_counts, to_edge_list
-from helpers import context_settings, forbid_steps
+from helpers import context_settings, forbid_steps, potts_partition
 
 HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
 
@@ -375,7 +376,7 @@ class TestResultsPastDigitLimit:
         params = invariants.PottsParams(4, -2)
         vertices, _ = lattice_counts(LatticeFamily.FRACTAL, 7)
         tutte = invariants.diagonal_closed_value(7, -1)
-        expected = invariants.potts_partition(vertices, 1, tutte, params)
+        expected = potts_partition(vertices, 1, tutte, params)
         assert expected.denominator == 1
         assert_decimal(value, expected.numerator)
 
@@ -386,50 +387,79 @@ class TestResultsPastDigitLimit:
         assert excinfo.value.code == 2
 
 
-class TestDecimalDigits:
-    """_decimal gives the digits of str(int), without its digit cap."""
+def printed(value) -> str:
+    """A record's value as str() prints the library's int or Fraction."""
+    return value if isinstance(value, str) else f"{value['num']}/{value['den']}"
+
+
+class TestDecimalRing:
+    """eval, potts and invariant compute in the decimal ring and print str()
+    of its numbers: the digits of the library's int and Fraction results."""
+
+    SMALL = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)]
 
     @staticmethod
-    def decimal_strings(values):
-        limit = sys.get_int_max_str_digits() if HAS_DIGIT_LIMIT else None
-        if HAS_DIGIT_LIMIT:
-            sys.set_int_max_str_digits(0)
+    def assert_prints(capsys, library, *argv):
+        """The CLI prints str(library()) for argv, or exits 4 where it raises DomainError."""
         try:
-            return [(_decimal(v), str(v)) for v in values]
-        finally:
-            if HAS_DIGIT_LIMIT:
-                sys.set_int_max_str_digits(limit)
+            expected = str(library())
+        except DomainError:
+            expected = None
+        code, out, err = run(capsys, *argv)
+        if expected is None:
+            assert code == 4, argv
+        else:
+            assert code == 0, err
+            assert printed(json.loads(out)["value"]) == expected, argv
 
-    def test_small_and_signed_values(self):
-        for got, expected in self.decimal_strings([0, 1, -1, 9, -10, 2 ** 64, -(3 ** 500)]):
-            assert got == expected
+    def test_values_equal_the_library(self, capsys):
+        # Decimal keeps a signed zero; each zero value must print as "0".
+        for family in LatticeFamily:
+            for n in range(3):
+                for a, b in itertools.product(self.SMALL, repeat=2):
+                    self.assert_prints(capsys, lambda: recursion.tutte_eval(family, n, a, b),
+                                       "eval", "--family", family.value, "--n", str(n),
+                                       f"--x={a}", f"--y={b}")
+                    self.assert_prints(capsys, lambda: invariants.potts_lattice(
+                                           family, n, invariants.PottsParams(a, b)),
+                                       "potts", "--family", family.value, "--n", str(n),
+                                       f"--q={a}", f"--v={b}")
+        for n in range(6):
+            for family in LatticeFamily:
+                self.assert_prints(capsys, lambda: invariants.spanning_tree_count(family, n),
+                                   "invariant", "--family", family.value, "--n", str(n),
+                                   "--quantity", "spanning-trees")
+            for quantity, library in (
+                    ("acyclic-root-connected", invariants.acyclic_root_connected_orientations),
+                    ("indegree-sequences", invariants.strong_orientation_indegree_sequences),
+                    ("bicycle-dimension", invariants.bicycle_space_dimension)):
+                self.assert_prints(capsys, lambda: library(n), "invariant", "--family", "fractal",
+                                   "--n", str(n), "--quantity", quantity)
 
-    def test_powers_of_ten_around_the_split_sizes(self):
-        values = []
-        for bits in (_DECIMAL_PIECE_BITS, 2 * _DECIMAL_PIECE_BITS, 8 * _DECIMAL_PIECE_BITS):
-            k = int(bits * 0.30103)  # 10^k has about `bits` bits
-            for j in range(k - 2, k + 3):
-                values += [10 ** j, 10 ** j - 1, -(10 ** j)]
-        for got, expected in self.decimal_strings(values):
-            assert got == expected
-
-    def test_caller_context_is_untouched(self):
-        # The caller's context would round to six digits and record flags.
-        value = random.Random(6).getrandbits(5000)
+    def test_caller_context_is_untouched(self, capsys):
+        # The caller's context would round to five digits and trap every signal.
+        requests = [
+            (("eval", "--family", "fractal", "--n", "3", "--x", "3/7", "--y=-5/2"),
+             recursion.tutte_eval(LatticeFamily.FRACTAL, 3, Fraction(3, 7), Fraction(-5, 2))),
+            (("potts", "--family", "flower13", "--n", "3", "--q", "9/4", "--v", "3/2"),
+             invariants.potts_lattice(LatticeFamily.FLOWER13, 3, invariants.PottsParams(
+                 Fraction(9, 4), Fraction(3, 2)))),
+            (("invariant", "--family", "fractal", "--n", "3",
+              "--quantity", "acyclic-root-connected"),
+             invariants.acyclic_root_connected_orientations(3)),
+        ]
         with decimal.localcontext() as caller:
-            caller.prec = 6
+            caller.prec = 5
+            for signal in caller.traps:
+                caller.traps[signal] = True
             before = context_settings(caller)
-            [(got, expected)] = self.decimal_strings([value])
+            results = [run(capsys, *argv) for argv, _ in requests]
             assert decimal.getcontext() is caller
             assert context_settings(caller) == before
-        assert got == expected
-
-    def test_random_values(self):
-        rng = random.Random(4300)
-        values = [rng.choice((1, -1)) * rng.getrandbits(bits)
-                  for bits in (100, 1023, 1024, 1025, 5000, 65_537, 200_000)]
-        for got, expected in self.decimal_strings(values):
-            assert got == expected
+        for (code, out, err), (_, expected) in zip(results, requests):
+            assert code == 0, err
+            assert printed(json.loads(out)["value"]) == str(expected)
+            assert len(str(expected)) > 5
 
 
 class TestRationalPointOutput:

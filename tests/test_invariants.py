@@ -24,7 +24,6 @@ from fractal_tutte.invariants import (
     growth_constant,
     potts_direct,
     potts_lattice,
-    potts_partition,
     spanning_tree_count,
     strong_orientation_indegree_sequences,
     tutte_arguments,
@@ -35,7 +34,7 @@ from fractal_tutte.lattices import (
 from fractal_tutte.oracle import tutte_subgraph_expansion
 from fractal_tutte.recursion import EVAL_NUMERATOR_BITS_CAP, tutte_eval, tutte_symbolic
 
-from helpers import Stepped, diagonal, forbid_steps, random_multigraph
+from helpers import Stepped, diagonal, forbid_steps, potts_partition, random_multigraph
 
 X = BiPoly.x()
 

@@ -5,10 +5,12 @@ A state pair holds the specials-joined part and the divided severed part
 for generation n+1; assembling gives the full Tutte polynomial.
 """
 
+import decimal
 import hashlib
 import math
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fractal_tutte import oracle, recursion
-from fractal_tutte.bipoly import BiPoly
+from fractal_tutte.bipoly import EXACT_CONTEXT, BiPoly
 from fractal_tutte.checks import run_oracle_gates
 from fractal_tutte.errors import CapExceeded
 from fractal_tutte.invariants import PottsParams, potts_lattice, spanning_tree_count
@@ -480,23 +482,39 @@ class TestReducedState:
         assert time.perf_counter() - start < 10
 
 
+@pytest.fixture(params=[int, Decimal], ids=["int", "decimal"])
+def ring(request):
+    """int, or Decimal with its operations in the exact context."""
+    with decimal.localcontext(EXACT_CONTEXT):
+        yield request.param
+
+
+def assert_same_pair(got, expected: Fraction, ring) -> None:
+    """got is expected's (numerator, denominator), both in the given ring."""
+    assert [type(part) for part in got] == [ring, ring]
+    assert (int(got[0]), int(got[1])) == (expected.numerator, expected.denominator)
+
+
 class TestLowestTerms:
-    def test_several_division_rounds(self):
+    def test_several_division_rounds(self, ring):
         m = 5 ** 30 * 7
         numerator = 2 ** 40 * 3 ** 5 * m
         for sign in (1, -1):
-            got = lowest_terms(sign * numerator, 6 ** 60, 6)
-            assert_same_fraction(got, Fraction(sign * numerator, 6 ** 60))
-            assert got.denominator == 2 ** 20 * 3 ** 55
+            got = lowest_terms(ring(sign * numerator), ring(6 ** 60), 6)
+            assert_same_pair(got, Fraction(sign * numerator, 6 ** 60), ring)
+            assert got[1] == 2 ** 20 * 3 ** 55
 
-    def test_already_in_lowest_terms(self):
+    def test_already_in_lowest_terms(self, ring):
         p = 2 ** 61 - 1
-        assert_same_fraction(lowest_terms(3 ** 200, p ** 40, p), Fraction(3 ** 200, p ** 40))
+        got = lowest_terms(ring(3 ** 200), ring(p ** 40), p)
+        assert_same_pair(got, Fraction(3 ** 200, p ** 40), ring)
 
-    def test_zero_and_integers(self):
-        assert_same_fraction(lowest_terms(0, 14 ** 500, 14), Fraction(0))
-        assert_same_fraction(lowest_terms(-7, 1, 1), Fraction(-7))
-        assert_same_fraction(lowest_terms(14 ** 9 * 3, 14 ** 9, 14), Fraction(3))
+    def test_zero_and_integers(self, ring):
+        assert_same_pair(lowest_terms(ring(0), ring(14 ** 500), 14), Fraction(0), ring)
+        assert_same_pair(lowest_terms(ring(-7), ring(1), 1), Fraction(-7), ring)
+        assert_same_pair(lowest_terms(ring(14 ** 9 * 3), ring(14 ** 9), 14), Fraction(3), ring)
+        # Decimal has a signed zero; a zero numerator comes back unsigned.
+        assert str(lowest_terms(ring(0) * -1, ring(6), 6)[0]) == "0"
 
 
 class TestStructuralInvariants:
