@@ -21,7 +21,7 @@ from typing import Collection, Dict, Iterable, Tuple, Union
 from .bipoly import BiPoly
 from .errors import CapExceeded, DomainError
 from .lattices import LatticeFamily, Multigraph, check_generation, lattice_counts
-from .recursion import (SYMBOLIC_GENERATION_CAP, Ring, _check_size, _coprime, _eval_numerators,
+from .recursion import (SYMBOLIC_GENERATION_CAP, Ring, _check_size, _coprime, _eval_value,
                         _four_sum, _homogeneous, lowest_terms)
 
 POTTS_STATE_CAP = 2 ** 24
@@ -225,8 +225,8 @@ def _potts_value(family: LatticeFamily, n: int, params: PottsParams,
     (q_num, q_den), (v_num, v_den) = params.q.as_integer_ratio(), params.v.as_integer_ratio()
     big_x, big_y, d = _homogeneous(*tutte_arguments(params))
     h, e = math.gcd(v_num, d), 2 * _four_sum(n)
-    joined, cofactor, den = _eval_numerators(family, n, big_x, big_y, d, v_den * d // h,
-                                             e * (abs(v_num // h) - 1).bit_length(), one)
-    return lowest_terms(q_num * pow(one * (v_num // h), e)
-                        * (v_num * q_den * joined + q_num * v_den * cofactor),
+    value, den = _eval_value(family, n, big_x, big_y, d, v_den * d // h,
+                             e * (abs(v_num // h) - 1).bit_length(), one)
+    # P E J + Q F C = P E (D J + (X - D) C) / D, as P E (X - D) = D Q F.
+    return lowest_terms(q_num * pow(one * (v_num // h), e) * (v_num * q_den * value // d),
                         q_den * q_den * v_den * den, q_den * v_den * d // h)

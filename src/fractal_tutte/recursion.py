@@ -26,6 +26,22 @@ packed polynomial product, and int multiplication, do faster than a
 product of two operands.  The fractal's cofactor is its joined part with x
 and y swapped, so its symbolic step forms the joined part alone and
 transposes it.
+
+The value J + (x - 1) C at x = X/D, y = Y/D needs only N = D J + (X - D) C
+of the last pair, so tutte_eval and potts_lattice run _eval_numerators
+for n - 1 steps and form N of generation n in one quartic form per family.
+With a = X - D, b = Y - D and k = D^2 (a b - D^2), zero exactly on the
+hyperbola (x - 1)(y - 1) = 1:
+
+- flower22: with u = t^2 and s = c (2D t + a c), a N = (a s + D^2 u)^2 + k u^2,
+  and at a = 0, N = D^2 u (b u + 2s);
+- flower13: a N = ((D t + a c)^2)^2 + k (t^2)^2, and at a = 0,
+  N = D^2 t^2 (4D t c + b t^2);
+- fractal: on the diagonal X = Y with t = c, where the cofactor equals the
+  joined part, N = X (X^2 + 5X D + 2D^2) (t^2)^2; elsewhere N comes from
+  both parts of the step.
+
+The division by a is exact, and on k = 0 the square k multiplies is not formed.
 """
 
 from __future__ import annotations
@@ -125,6 +141,50 @@ _STEPS: dict[LatticeFamily, Callable[..., Tuple[Ring, Ring]]] = {
 def _rule(family: LatticeFamily, t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
     """The next (joined, cofactor) from the pair (t, c), each part formed on its own."""
     return _STEPS[family](t * t, t * c, c * c, x, y, d)
+
+
+# One function per family forms N = D J + (X - D) C of the next pair (J, C)
+# from the pair (t, c) at the ints (X, Y, D); see the module docstring.
+
+def _fractal_value(t: Ring, c: Ring, big_x: int, big_y: int, d: int) -> Ring:
+    if big_x == big_y and t == c:
+        t2 = t * t
+        return big_x * (big_x * big_x + 5 * big_x * d + 2 * d * d) * (t2 * t2)
+    joined, cofactor = _rule(LatticeFamily.FRACTAL, t, c, big_x, big_y, d)
+    return d * joined + (big_x - d) * cofactor
+
+
+def _flower22_value(t: Ring, c: Ring, big_x: int, big_y: int, d: int) -> Ring:
+    a, b = big_x - d, big_y - d
+    u = t * t
+    if not a:
+        return u * (b * d * d * u + t * (4 * d ** 3 * c))
+    square = c * (2 * a * d * t + a * a * c) + d * d * u  # a s + D^2 u
+    square = square * square
+    k = d * d * (a * b - d * d)
+    return (square + k * (u * u) if k else square) // a
+
+
+def _flower13_value(t: Ring, c: Ring, big_x: int, big_y: int, d: int) -> Ring:
+    a, b = big_x - d, big_y - d
+    if not a:
+        t2 = t * t
+        return t2 * (t * (4 * d ** 3 * c) + b * d * d * t2)
+    square = d * t + a * c
+    square = square * square
+    square = square * square
+    k = d * d * (a * b - d * d)
+    if k:
+        t2 = t * t
+        square = square + k * (t2 * t2)
+    return square // a
+
+
+_VALUES: dict[LatticeFamily, Callable[..., Ring]] = {
+    LatticeFamily.FRACTAL: _fractal_value,
+    LatticeFamily.FLOWER22: _flower22_value,
+    LatticeFamily.FLOWER13: _flower13_value,
+}
 
 
 def initial_pair() -> TuttePair:
@@ -231,6 +291,27 @@ def _eval_numerators(family: LatticeFamily, n: int, big_x: int, big_y: int, d: i
     return joined, cofactor, den
 
 
+def _eval_value(family: LatticeFamily, n: int, big_x: int, big_y: int, d: int,
+                base: int, power_bits: int = 0, one: Ring = 1) -> Tuple[Ring, Ring]:
+    """(N, den) in the ring of one: N / (D den) is J + (x - 1) C of generation n
+    at x = X/D, y = Y/D times (D/base)^e, e = 2 (4^n - 1) / 3, as for
+    _eval_numerators, so base = D gives the value itself.
+
+    _eval_numerators runs n - 1 steps, and the family's value form makes
+    the last one as N alone, over den^4 base^2.  Its one size check is the
+    one for generation n: to its power_bits are added the bits the last step
+    adds, 2 * 4^(n - 1) = 4^n / 2 times bits(max(|X|, |Y|, D, base)).
+    """
+    # 3 (4^n - 1) / 3 + 1 = 4^n, refused by its 2n - 1 bits before it is formed.
+    last = (3 * _four_sum(n) + 1) // 2 * max(abs(big_x), abs(big_y), d, base).bit_length()
+    if not n:  # the single edge: J = C = den = 1, and the value is x
+        _check_size("exact value", power_bits)
+        return one * big_x, one
+    joined, cofactor, den = _eval_numerators(family, n - 1, big_x, big_y, d, base,
+                                             power_bits + last, one)
+    return _VALUES[family](joined, cofactor, big_x, big_y, d), den ** 4 * base * base
+
+
 def eval_pair(family: LatticeFamily, n: int,
               x: Union[int, Fraction], y: Union[int, Fraction]) -> TuttePair:
     """Split state evaluated at a rational point, without symbolic blowup:
@@ -245,8 +326,8 @@ def _tutte_value(family: LatticeFamily, n: int, x: Union[int, Fraction], y: Unio
                  one: Ring) -> Tuple[Ring, Ring]:
     """tutte_eval's value as (numerator, denominator) in lowest terms, in the ring of one."""
     big_x, big_y, d = _homogeneous(Fraction(x), Fraction(y))
-    joined, cofactor, den = _eval_numerators(family, n, big_x, big_y, d, d, one=one)
-    return lowest_terms(d * joined + (big_x - d) * cofactor, d * den, d)
+    value, den = _eval_value(family, n, big_x, big_y, d, d, one=one)
+    return lowest_terms(value, d * den, d)
 
 
 def tutte_eval(family: LatticeFamily, n: int,

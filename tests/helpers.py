@@ -95,8 +95,17 @@ class Stepped(Exception):
 
 
 def forbid_steps(monkeypatch) -> None:
-    """Make every family's step raise Stepped, so a test can tell a request
-    refused by the size rule from one that reached its first step."""
+    """Make every family's step, and its last step as a value, raise Stepped,
+    so a test can tell a request refused by the size rule from one that
+    reached its first step."""
     def no_step(*args):
         raise Stepped
     monkeypatch.setattr(recursion, "_STEPS", dict.fromkeys(LatticeFamily, no_step))
+    monkeypatch.setattr(recursion, "_VALUES", dict.fromkeys(LatticeFamily, no_step))
+
+
+# Potts points (q, v), v = P/F, whose numerator P shares a prime with the
+# Tutte-plane point's denominator D, then one whose numerator does not.
+POTTS_POINTS = [(Fraction(10), Fraction(-20, 3)), (Fraction(7, 4), Fraction(6, 5)),
+                (Fraction(3), Fraction(-15, 2)), (Fraction(-9, 10), Fraction(4, 3)),
+                (Fraction(9, 4), Fraction(3, 2))]

@@ -1,9 +1,11 @@
 """Closed-form invariants, growth constants, and Potts partition functions."""
 
 import contextlib
+import decimal
 import math
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 from itertools import starmap
 
@@ -11,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fractal_tutte import oracle, recursion
-from fractal_tutte.bipoly import BiPoly
+from fractal_tutte import invariants, oracle, recursion
+from fractal_tutte.bipoly import EXACT_CONTEXT, BiPoly
 from fractal_tutte.errors import CapExceeded, DomainError
 from fractal_tutte.invariants import (
     POTTS_STATE_CAP,
@@ -32,9 +34,10 @@ from fractal_tutte.lattices import (
     LatticeFamily, Multigraph, build_lattice, lattice_counts, union_find,
 )
 from fractal_tutte.oracle import tutte_subgraph_expansion
-from fractal_tutte.recursion import EVAL_NUMERATOR_BITS_CAP, tutte_eval, tutte_symbolic
+from fractal_tutte.recursion import EVAL_NUMERATOR_BITS_CAP, eval_pair, tutte_eval, tutte_symbolic
 
-from helpers import Stepped, diagonal, forbid_steps, potts_partition, random_multigraph
+from helpers import (POTTS_POINTS, Stepped, diagonal, forbid_steps, potts_partition,
+                     random_multigraph)
 
 X = BiPoly.x()
 
@@ -395,6 +398,38 @@ class TestPottsViaTutte:
                 tutte = sum(oracle._sweep(build_lattice(family, n), q / v, v))
                 assert potts_lattice(family, n, PottsParams(q, v)) \
                     == q * v ** (vertices - 1) * tutte, (n, q, v)
+
+    def test_lattice_equals_the_assembled_pair(self):
+        # potts_lattice forms the last generation's value D J + (X - D) C
+        # alone and divides P E times it by D; eval_pair steps the pair n
+        # times.  q = v^2 puts the point on the diagonal, q = 1 on the
+        # hyperbola (x - 1)(y - 1) = 1, and q / v < 0 makes X - D negative.
+        rng = random.Random(7919)
+        points = list(POTTS_POINTS)
+        points += [(v * v, v) for v in (Fraction(3, 2), Fraction(-5, 2), Fraction(2, 3))]
+        points += [(Fraction(1), v) for v in (Fraction(3, 2), Fraction(-1, 4))]
+        points += [(Fraction(2), Fraction(-1)), (Fraction(-3, 2), Fraction(5, 6))]
+        points += [(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                    Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6)))
+                   for _ in range(6)]
+        for family in LatticeFamily:
+            for n in range(7):
+                vertices, _ = lattice_counts(family, n)
+                for q, v in points:
+                    params = PottsParams(q, v)
+                    x, y = tutte_arguments(params)
+                    pair = eval_pair(family, n, x, y)
+                    expected = potts_partition(vertices, 1, pair.joined + (x - 1) * pair.cofactor,
+                                               params)
+                    got = potts_lattice(family, n, params)
+                    assert (got.numerator, got.denominator) \
+                        == (expected.numerator, expected.denominator), (family, n, q, v)
+                    with decimal.localcontext(EXACT_CONTEXT):
+                        numerator, denominator = invariants._potts_value(family, n, params,
+                                                                         Decimal(1))
+                    assert (type(numerator), type(denominator)) == (Decimal, Decimal)
+                    assert (int(numerator), int(denominator)) \
+                        == (expected.numerator, expected.denominator), (family, n, q, v)
 
     def test_partition_identity_on_random_multigraphs(self):
         rng = random.Random(6022)

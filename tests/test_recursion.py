@@ -34,7 +34,7 @@ from fractal_tutte.recursion import (
     tutte_symbolic,
 )
 
-from helpers import Stepped, forbid_steps
+from helpers import POTTS_POINTS, Stepped, forbid_steps
 
 X = BiPoly.x()
 Y = BiPoly.y()
@@ -152,6 +152,12 @@ class CountingRing:
 
     __radd__ = __add__
 
+    def __floordiv__(self, other):
+        return CountingRing(self.value // other, self.counter)
+
+    def __eq__(self, other):
+        return self.value == (other.value if isinstance(other, CountingRing) else other)
+
 
 class TestRule:
     @pytest.mark.parametrize("family", list(LatticeFamily))
@@ -250,8 +256,10 @@ class TestSymbolicStep:
 
 class TestDuality:
     """The fractal's cofactor is its joined part with x and y swapped.  The
-    symbolic step relies on it; the pointwise recursion forms both parts on
-    its own, so it checks the derived cofactor independently."""
+    symbolic step relies on it, and so does the last step's value form on
+    the diagonal, where the two parts are equal; eval_pair forms both parts
+    on its own at every step, so it checks the derived cofactor
+    independently."""
 
     def test_symbolic_pair_matches_eval_pair(self, symbolic_n4):
         rng = random.Random(4096)
@@ -442,17 +450,11 @@ class TestReducedState:
                         assert Fraction(joined, den) == pair.joined.evaluate(x, y)
                         assert Fraction(cofactor, den) == pair.cofactor.evaluate(x, y)
 
-    # (q, v) with v = P/F whose numerator shares a prime with D, then one
-    # whose does not.
-    POTTS_POINTS = [(Fraction(10), Fraction(-20, 3)), (Fraction(7, 4), Fraction(6, 5)),
-                    (Fraction(3), Fraction(-15, 2)), (Fraction(-9, 10), Fraction(4, 3)),
-                    (Fraction(9, 4), Fraction(3, 2))]
-
     def test_potts_base_state(self):
         # potts_lattice reduces against F D / h, h = gcd(P, D); the state is
         # then the split state times (D / base)^e, e = 2 (4^n - 1) / 3.
         for family in LatticeFamily:
-            for q, v in self.POTTS_POINTS:
+            for q, v in POTTS_POINTS:
                 x, y = (q + v) / v, v + 1
                 big_x, big_y, d = recursion._homogeneous(x, y)
                 base = v.denominator * d // math.gcd(v.numerator, d)
@@ -515,6 +517,92 @@ class TestLowestTerms:
         assert_same_pair(lowest_terms(ring(14 ** 9 * 3), ring(14 ** 9), 14), Fraction(3), ring)
         # Decimal has a signed zero; a zero numerator comes back unsigned.
         assert str(lowest_terms(ring(0) * -1, ring(6), 6)[0]) == "0"
+
+
+def value_cases(branch, rng):
+    """Ten seeded (X, Y, D, t, c) on one branch of the value forms: generic;
+    on the hyperbola (X - D)(Y - D) = D^2, where k = 0; at X = D, where
+    a = 0; and on the diagonal X = Y with t = c and with t != c."""
+    cases = []
+    for _ in range(10):
+        d = rng.randint(1, 9)
+        t, c = rng.randint(-10 ** 6, 10 ** 6), rng.randint(-10 ** 6, 10 ** 6)
+        big_x, big_y = rng.randint(-99, 99), rng.randint(-99, 99)
+        if branch == "hyperbola":
+            a = rng.choice([-1, 1]) * rng.choice([m for m in range(1, d * d + 1) if d * d % m == 0])
+            big_x, big_y = d + a, d + d * d // a
+        elif branch == "x = 1":
+            big_x = d
+        elif branch == "diagonal, t = c":
+            big_y, c = big_x, t
+        elif branch == "diagonal, t != c":
+            big_y, c = big_x, c if c != t else t + 1
+        cases.append((big_x, big_y, d, t, c))
+    return cases
+
+
+VALUE_BRANCHES = ["generic", "hyperbola", "x = 1", "diagonal, t = c", "diagonal, t != c"]
+
+
+class TestValueForm:
+    """The last step as the value alone: N = D J + (X - D) C of the next pair."""
+
+    @pytest.mark.parametrize("family", list(LatticeFamily))
+    @pytest.mark.parametrize("branch", VALUE_BRANCHES)
+    def test_equals_both_parts_of_the_rule(self, ring, family, branch):
+        rng = random.Random(f"{family.value} {branch}")
+        for big_x, big_y, d, t, c in value_cases(branch, rng):
+            joined, cofactor = recursion._rule(family, t, c, big_x, big_y, d)
+            got = recursion._VALUES[family](ring(t), ring(c), big_x, big_y, d)
+            assert type(got) is ring
+            assert got == d * joined + (big_x - d) * cofactor, (big_x, big_y, d, t, c)
+
+    @pytest.mark.parametrize("family, point, c, products, squares", [
+        # Generic, where (X - D)(Y - D) = 8 is not D^2 = 9.
+        (LatticeFamily.FLOWER22, (5, 7, 3), -13, 4, 3), (LatticeFamily.FLOWER13, (5, 7, 3), -13, 4, 4),
+        (LatticeFamily.FRACTAL, (5, 7, 3), -13, 5, 2),
+        # On the hyperbola, k = 0: the square k multiplies is not formed.
+        (LatticeFamily.FLOWER22, (6, 6, 3), -13, 3, 2), (LatticeFamily.FLOWER13, (6, 6, 3), -13, 2, 2),
+        (LatticeFamily.FLOWER22, (4, 12, 3), -13, 3, 2), (LatticeFamily.FLOWER13, (4, 12, 3), -13, 2, 2),
+        # On x = 1, a = 0.
+        (LatticeFamily.FLOWER22, (3, 7, 3), -13, 3, 1), (LatticeFamily.FLOWER13, (3, 7, 3), -13, 3, 1),
+        # The fractal on its diagonal with t = c, and with t != c, where the rule runs.
+        (LatticeFamily.FRACTAL, (5, 5, 3), 11, 2, 2), (LatticeFamily.FRACTAL, (5, 5, 3), -13, 5, 2),
+    ])
+    def test_products_of_pair_sized_operands(self, family, point, c, products, squares):
+        counter = []
+        t, c = CountingRing(11, counter), CountingRing(c, counter)
+        got = recursion._VALUES[family](t, c, *point)
+        assert len(counter) == products
+        assert sum(counter) == squares
+        joined, cofactor = recursion._rule(family, 11, c.value, *point)
+        assert got.value == point[2] * joined + (point[0] - point[2]) * cofactor
+
+
+class TestValueRoute:
+    """tutte_eval, and the CLI's value in the decimal ring, form the last
+    generation's value alone; eval_pair still steps the pair n times."""
+
+    def test_value_equals_the_assembled_pair(self):
+        rng = random.Random(5051)
+        # x = 1; the hyperbola (x - 1)(y - 1) = 1; the diagonal; X - D < 0;
+        # and the Tutte-plane points of the Potts points, some on the diagonal.
+        points = [(Fraction(1), Fraction(5, 7)), (Fraction(1), Fraction(1)), (Fraction(1), Fraction(-3)),
+                  (Fraction(3), Fraction(3, 2)), (Fraction(-1, 2), Fraction(1, 3)), (Fraction(0), Fraction(0)),
+                  (Fraction(5, 2), Fraction(5, 2)), (Fraction(-3, 2), Fraction(-3, 2)), (Fraction(2), Fraction(2)),
+                  (Fraction(-1, 6), Fraction(5, 7)), (Fraction(3, 7), Fraction(-5, 2))]
+        points += [((q + v) / v, v + 1) for q, v in POTTS_POINTS]
+        points += [(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(6)]
+        for family in LatticeFamily:
+            for n in range(7):
+                for x, y in points:
+                    pair = eval_pair(family, n, x, y)
+                    expected = pair.joined + (x - 1) * pair.cofactor
+                    assert_same_fraction(tutte_eval(family, n, x, y), expected)
+                    with decimal.localcontext(EXACT_CONTEXT):
+                        assert_same_pair(recursion._tutte_value(family, n, x, y, Decimal(1)),
+                                         expected, Decimal)
 
 
 class TestStructuralInvariants:
