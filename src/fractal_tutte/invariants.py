@@ -52,7 +52,7 @@ def _product(what: str, factors: Collection[Tuple[RationalLike, int]],
 
 def _tree_count_exponents(family: LatticeFamily, n: int) -> Dict[int, int]:
     """The spanning-tree count of generation n as {base: exponent}, with g = (4^n - 1) / 3."""
-    g = _four_sum(n)
+    g = _four_sum(n, what="spanning-tree count")
     if family is LatticeFamily.FRACTAL:
         return {2: 3 * g}
     if family is LatticeFamily.FLOWER22:
@@ -76,7 +76,7 @@ def acyclic_root_connected_orientations(n: int) -> int:
 
 
 def _acyclic_orientations(n: int, one: Ring) -> Ring:
-    power = 3 * _four_sum(n) + 1  # 4^n
+    power = 3 * _four_sum(n, what="acyclic orientation count") + 1  # 4^n
     # The i = 1 factor alone has 4^n / 2 bits; past the cap, no n exponents are made.
     _check_size("acyclic orientation count", power // 2)
     return _product("acyclic orientation count",
@@ -104,7 +104,7 @@ def bicycle_space_dimension(n: int) -> int:
 def _diagonal(n: int, x: Union[BiPoly, Fraction]) -> tuple:
     """The diagonal T(x, x) of the fractal lattice, x * (x^2 + 5x + 2) **
     ((4^n - 1) / 3), as (base, exponent) factors over BiPoly or Fraction."""
-    return (x, 1), (x * x + 5 * x + 2, bicycle_space_dimension(n))
+    return (x, 1), (x * x + 5 * x + 2, _four_sum(n, what="diagonal value"))
 
 
 def diagonal_closed_form(n: int) -> BiPoly:
@@ -224,7 +224,7 @@ def _potts_value(family: LatticeFamily, n: int, params: PottsParams,
     """potts_lattice's value as (numerator, denominator) in lowest terms, in the ring of one."""
     (q_num, q_den), (v_num, v_den) = params.q.as_integer_ratio(), params.v.as_integer_ratio()
     big_x, big_y, d = _homogeneous(*tutte_arguments(params))
-    h, e = math.gcd(v_num, d), 2 * _four_sum(n)
+    h, e = math.gcd(v_num, d), 2 * _four_sum(n, what="exact value")
     value, den = _eval_value(family, n, big_x, big_y, d, v_den * d // h,
                              e * (abs(v_num // h) - 1).bit_length(), one)
     # P E J + Q F C = P E (D J + (X - D) C) / D, as P E (X - D) = D Q F.

@@ -7,41 +7,36 @@ One step expresses the next pair in the four copies glued for the family;
 the full polynomial is reassembled as joined + (x - 1) * cofactor.
 
 Each part of the next pair is a quartic form in the pair (t, c).  One plain
-function per family forms both parts from t^2, t c and c^2 over any
-commutative ring, so the same arithmetic runs symbolically on polynomials
-and pointwise on the integer numerators of a rational point, as ints or,
-for the CLI, as Decimals.  After t^2,
-t c and c^2, the parts take these quartic-size products:
+function per family takes (t, c) and forms only the products that family
+needs, over any commutative ring, so the same arithmetic runs symbolically
+on polynomials and pointwise on the integer numerators of a rational point,
+as ints or, for the CLI, as Decimals.  Shown at d = 1, with a = x - 1:
 
-- fractal: joined = t^2 (y(y - 1) t^2 + 4y t c + 2(x + 1) c^2), and the
-  cofactor is the same with x and y swapped and t and c swapped;
-- flower22: joined = t^2 ((y - 1) t^2 + 4 t c + 2(x - 1) c^2), and the
-  cofactor is the square (2 t c + (x - 1) c^2)^2;
-- flower13: joined = (y - 1) (t^2)^2 + t c (4 t^2 + 3(x - 1) t c + (x - 1)^2 c^2),
-  and the cofactor is c^2 (3 t^2 + 3(x - 1) t c + (x - 1)^2 c^2); on y = 1
+- fractal: t^2, t c, c^2, then joined = t^2 (y(y - 1) t^2 + 4y t c + 2(x + 1) c^2)
+  and the cofactor, the same with x and y swapped and t and c swapped:
+  5 products.  On the diagonal x = y with t = c both parts are
+  (x^2 + 5x + 2) (t^2)^2, 2 squares;
+- flower22: t^2 and s = c (2t + a c), then joined = t^2 ((y - 1) t^2 + 2s)
+  and the cofactor s^2: 4 products, 2 of them squares;
+- flower13: t^2, t c, c^2, then joined = (y - 1) (t^2)^2 + t c (4 t^2 + 3a t c + a^2 c^2)
+  and the cofactor c^2 (3 t^2 + 3a t c + a^2 c^2): 6 products; on y = 1
   the square (t^2)^2 is not formed.
 
-A square is formed as u * u on one object, which both radices of the
-packed polynomial product, and int multiplication, do faster than a
-product of two operands.  The fractal's cofactor is its joined part with x
-and y swapped, so its symbolic step forms the joined part alone and
-transposes it.
+A square is formed as u * u on one object, which both radices of the packed
+polynomial product, and int multiplication, do faster than a product of two
+operands.  The fractal's symbolic step forms the joined part alone and
+transposes it for the cofactor.
 
 The value J + (x - 1) C at x = X/D, y = Y/D needs only N = D J + (X - D) C
 of the last pair, so tutte_eval and potts_lattice run _eval_numerators
-for n - 1 steps and form N of generation n in one quartic form per family.
-With a = X - D, b = Y - D and k = D^2 (a b - D^2), zero exactly on the
-hyperbola (x - 1)(y - 1) = 1:
-
-- flower22: with u = t^2 and s = c (2D t + a c), a N = (a s + D^2 u)^2 + k u^2,
-  and at a = 0, N = D^2 u (b u + 2s);
-- flower13: a N = ((D t + a c)^2)^2 + k (t^2)^2, and at a = 0,
-  N = D^2 t^2 (4D t c + b t^2);
-- fractal: on the diagonal X = Y with t = c, where the cofactor equals the
-  joined part, N = X (X^2 + 5X D + 2D^2) (t^2)^2; elsewhere N comes from
-  both parts of the step.
-
-The division by a is exact, and on k = 0 the square k multiplies is not formed.
+for n - 1 steps and form N of generation n from the pair of generation
+n - 1.  Either flower's generation n is a ring of four copies of generation
+n - 1, and its Tutte polynomial does not depend on which two hubs are
+special, so one value form serves both.  With a = X - D, b = Y - D and
+k = D^2 (a b - D^2), zero exactly on the hyperbola (x - 1)(y - 1) = 1,
+a N = ((D t + a c)^2)^2 + k (t^2)^2, and at a = 0, N = D^2 t^2 (4D t c + b t^2).
+The division by a is exact, and on k = 0 the square k multiplies is not
+formed.  The fractal's N is D J + (X - D) C of its step.
 """
 
 from __future__ import annotations
@@ -64,16 +59,21 @@ Ring = Union[BiPoly, int, Decimal]
 def _check_size(what: str, bits: int) -> None:
     """The one cap on exact values: refuse one predicted past EVAL_NUMERATOR_BITS_CAP bits."""
     if bits > EVAL_NUMERATOR_BITS_CAP:
-        # A prediction can itself have 2^24 bits, far too many digits to print.
+        # At a huge n, the 2n - 1 bits of (4^n - 1) / 3 are too long a number to print.
         size = bits if bits < 1 << 64 else f"2^{math.log2(bits):.0f}"
         raise CapExceeded(f"{what} of about {size} bits exceeds cap {EVAL_NUMERATOR_BITS_CAP}")
 
 
-def _four_sum(n: int, one: Ring = 1) -> Ring:
-    """1 + 4 + ... + 4^(n - 1) = (4^n - 1) / 3 in the ring of one, a lower bound on every
-    other exact value's predicted bits; refused by its own 2n - 1 bits before 4^n is formed."""
+def _four_sum(n: int, one: Ring = 1, what: str = "") -> Ring:
+    """1 + 4 + ... + 4^(n - 1) = (4^n - 1) / 3 in the ring of one, refused by its own
+    2n - 1 bits before 4^n is formed.  A caller whose size rule predicts at least that
+    many bits names its value as what, and is refused, also before 4^n is formed, once
+    the lower bound 4^(n - 1) is past the cap."""
     check_generation(n)
     _check_size(f"(4^{n} - 1) / 3", 2 * n - 1)
+    if what and 2 * n - 2 >= EVAL_NUMERATOR_BITS_CAP.bit_length():
+        raise CapExceeded(f"{what} of at least 4^{n - 1} bits exceeds cap "
+                          f"{EVAL_NUMERATOR_BITS_CAP}")
     return (pow(4 * one, n) - 1) // 3
 
 
@@ -105,24 +105,36 @@ class TuttePair(NamedTuple):
         return _canonical(terms)
 
 
-# One function per family forms the next (joined, cofactor) from t^2, t c
-# and c^2.  The scalars are polynomials in (x, y, d): with d = 1 the step is
+# One function per family forms the next (joined, cofactor) from the pair
+# (t, c).  The scalars are polynomials in (x, y, d): with d = 1 the step is
 # at (x, y), symbolic or not; with integers X, Y, D every coefficient is a
 # homogeneous quadratic in (X, Y, D), so the step maps numerators over den
 # to numerators over den^4 D^2 at (X/D, Y/D).  Each scalar is formed before
 # it meets a pair-sized operand.
 
 def _fractal(t2: Ring, tc: Ring, c2: Ring, x: Ring, y: Ring, d: int) -> Ring:
-    """The fractal's joined part; its cofactor is _fractal(c2, tc, t2, y, x, d)."""
+    """The fractal's joined part from t^2, t c and c^2; its cofactor is
+    _fractal(c2, tc, t2, y, x, d)."""
     return t2 * (y * (y - d) * t2 + 4 * y * d * tc + 2 * (x + d) * d * c2)
 
 
-def _flower22(t2: Ring, tc: Ring, c2: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
-    square = 2 * d * tc + (x - d) * c2
-    return t2 * ((y - d) * d * t2 + 4 * d * d * tc + 2 * (x - d) * d * c2), square * square
+def _fractal_step(t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
+    if x == y and t == c:  # the diagonal: both parts are (x^2 + 5x d + 2d^2) (t^2)^2
+        t2 = t * t
+        part = (x * x + 5 * x * d + 2 * d * d) * (t2 * t2)
+        return part, part
+    t2, tc, c2 = t * t, t * c, c * c
+    return _fractal(t2, tc, c2, x, y, d), _fractal(c2, tc, t2, y, x, d)
 
 
-def _flower13(t2: Ring, tc: Ring, c2: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
+def _flower22(t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
+    t2 = t * t
+    s = c * (2 * d * t + (x - d) * c)
+    return t2 * ((y - d) * d * t2 + 2 * d * s), s * s
+
+
+def _flower13(t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
+    t2, tc, c2 = t * t, t * c, c * c
     x1 = x - d
     joined = tc * (4 * d * d * t2 + 3 * x1 * d * tc + x1 * x1 * c2)
     if y != d:  # on y = 1 the quartic-size square (t^2)^2 drops out
@@ -131,41 +143,26 @@ def _flower13(t2: Ring, tc: Ring, c2: Ring, x: Ring, y: Ring, d: int) -> Tuple[R
 
 
 _STEPS: dict[LatticeFamily, Callable[..., Tuple[Ring, Ring]]] = {
-    LatticeFamily.FRACTAL: lambda t2, tc, c2, x, y, d: (
-        _fractal(t2, tc, c2, x, y, d), _fractal(c2, tc, t2, y, x, d)),
+    LatticeFamily.FRACTAL: _fractal_step,
     LatticeFamily.FLOWER22: _flower22,
     LatticeFamily.FLOWER13: _flower13,
 }
 
 
 def _rule(family: LatticeFamily, t: Ring, c: Ring, x: Ring, y: Ring, d: int) -> Tuple[Ring, Ring]:
-    """The next (joined, cofactor) from the pair (t, c), each part formed on its own."""
-    return _STEPS[family](t * t, t * c, c * c, x, y, d)
+    """The next (joined, cofactor) from the pair (t, c)."""
+    return _STEPS[family](t, c, x, y, d)
 
 
 # One function per family forms N = D J + (X - D) C of the next pair (J, C)
 # from the pair (t, c) at the ints (X, Y, D); see the module docstring.
 
 def _fractal_value(t: Ring, c: Ring, big_x: int, big_y: int, d: int) -> Ring:
-    if big_x == big_y and t == c:
-        t2 = t * t
-        return big_x * (big_x * big_x + 5 * big_x * d + 2 * d * d) * (t2 * t2)
     joined, cofactor = _rule(LatticeFamily.FRACTAL, t, c, big_x, big_y, d)
     return d * joined + (big_x - d) * cofactor
 
 
-def _flower22_value(t: Ring, c: Ring, big_x: int, big_y: int, d: int) -> Ring:
-    a, b = big_x - d, big_y - d
-    u = t * t
-    if not a:
-        return u * (b * d * d * u + t * (4 * d ** 3 * c))
-    square = c * (2 * a * d * t + a * a * c) + d * d * u  # a s + D^2 u
-    square = square * square
-    k = d * d * (a * b - d * d)
-    return (square + k * (u * u) if k else square) // a
-
-
-def _flower13_value(t: Ring, c: Ring, big_x: int, big_y: int, d: int) -> Ring:
+def _flower_value(t: Ring, c: Ring, big_x: int, big_y: int, d: int) -> Ring:
     a, b = big_x - d, big_y - d
     if not a:
         t2 = t * t
@@ -182,8 +179,8 @@ def _flower13_value(t: Ring, c: Ring, big_x: int, big_y: int, d: int) -> Ring:
 
 _VALUES: dict[LatticeFamily, Callable[..., Ring]] = {
     LatticeFamily.FRACTAL: _fractal_value,
-    LatticeFamily.FLOWER22: _flower22_value,
-    LatticeFamily.FLOWER13: _flower13_value,
+    LatticeFamily.FLOWER22: _flower_value,
+    LatticeFamily.FLOWER13: _flower_value,
 }
 
 
@@ -281,7 +278,8 @@ def _eval_numerators(family: LatticeFamily, n: int, big_x: int, big_y: int, d: i
     carried into the next step to be raised to the fourth.
     """
     top = max(abs(big_x), abs(big_y), d, base)
-    _check_size("exact value", 2 * _four_sum(n) * top.bit_length() + power_bits)
+    _check_size("exact value", 2 * _four_sum(n, what="exact value") * top.bit_length()
+                + power_bits)
     joined = cofactor = den = one
     for _ in range(n):
         joined, cofactor = _rule(family, joined, cofactor, big_x, big_y, d)
@@ -302,8 +300,9 @@ def _eval_value(family: LatticeFamily, n: int, big_x: int, big_y: int, d: int,
     one for generation n: to its power_bits are added the bits the last step
     adds, 2 * 4^(n - 1) = 4^n / 2 times bits(max(|X|, |Y|, D, base)).
     """
-    # 3 (4^n - 1) / 3 + 1 = 4^n, refused by its 2n - 1 bits before it is formed.
-    last = (3 * _four_sum(n) + 1) // 2 * max(abs(big_x), abs(big_y), d, base).bit_length()
+    # 3 (4^n - 1) / 3 + 1 = 4^n, refused before it is formed.
+    top = max(abs(big_x), abs(big_y), d, base)
+    last = (3 * _four_sum(n, what="exact value") + 1) // 2 * top.bit_length()
     if not n:  # the single edge: J = C = den = 1, and the value is x
         _check_size("exact value", power_bits)
         return one * big_x, one

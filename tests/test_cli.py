@@ -212,9 +212,9 @@ class TestEval:
 
 
 class TestSizeRule:
-    """Every exact value past the size rule exits 3 at once.  Past n = 2^23
-    the rule refuses before 4^n is formed; up to it, the predictions are
-    themselves numbers of up to 2^24 bits."""
+    """Every exact value past the size rule exits 3 at once.  From n = 14 on
+    the rule refuses before 4^n is formed, as 4^(n - 1), a lower bound on
+    each prediction, is past the cap."""
 
     # Each request ends with the flag that takes the generation.
     REQUESTS = [

@@ -1,6 +1,5 @@
 """Closed-form invariants, growth constants, and Potts partition functions."""
 
-import contextlib
 import decimal
 import math
 import random
@@ -179,6 +178,33 @@ class TestSizeRuleBoundary:
         assert value.numerator.bit_length() == EVAL_NUMERATOR_BITS_CAP
 
 
+class TestPastGeneration12:
+    """(4^n - 1) / 3 is past the cap from n = 13 on, and the size rule predicts
+    at least that many bits for every exact value but the bicycle-space
+    dimension (see TestBicycleDimension).  At n = 2^23, where (4^n - 1) / 3
+    has 2^24 - 1 bits, each is refused before 4^n is formed, as the diagonal
+    value is in TestDiagonal."""
+
+    N = 2 ** 23
+    REQUESTS = {
+        "tutte_eval": lambda n: tutte_eval(LatticeFamily.FRACTAL, n, 1, 1),
+        "eval_pair": lambda n: eval_pair(LatticeFamily.FRACTAL, n, 1, 1),
+        "potts_lattice": lambda n: potts_lattice(LatticeFamily.FRACTAL, n, PottsParams(2, 1)),
+        **{f"spanning_tree_count-{family.value}":
+           lambda n, family=family: spanning_tree_count(family, n) for family in LatticeFamily},
+        "acyclic_root_connected_orientations": acyclic_root_connected_orientations,
+        "strong_orientation_indegree_sequences": strong_orientation_indegree_sequences,
+        "growth_constant": lambda n: growth_constant(LatticeFamily.FRACTAL, n),
+    }
+
+    @pytest.mark.parametrize("request_name", REQUESTS)
+    def test_refused_at_once(self, request_name):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded):
+            self.REQUESTS[request_name](self.N)
+        assert time.perf_counter() - start < 0.1
+
+
 class TestGrowthConstants:
     def test_limit_values(self):
         fractal = growth_constant(LatticeFamily.FRACTAL, 8)
@@ -311,13 +337,18 @@ class TestPottsViaTutte:
 
     @staticmethod
     def prediction(monkeypatch, family, n, params):
-        """The bits of the last size check potts_lattice makes, the driver's;
-        no step runs."""
+        """The bits of the last size check potts_lattice makes, the driver's.
+        The request ends there, so no step runs, even one placed outside the
+        seam that forbid_steps replaces."""
         checked = []
+
+        def check(what, bits):
+            checked.append(bits)
+            if what == "exact value":
+                raise Stepped
         with monkeypatch.context() as patch:
-            patch.setattr(recursion, "_check_size", lambda what, bits: checked.append(bits))
-            forbid_steps(patch)
-            with contextlib.suppress(Stepped):
+            patch.setattr(recursion, "_check_size", check)
+            with pytest.raises(Stepped):
                 potts_lattice(family, n, params)
         return checked[-1]
 

@@ -188,26 +188,31 @@ class TestRule:
                 got = recursion._rule(family, t, c, x, y, d)
                 assert tuple(d * part for part in got) == composed(family, t, c, x, y, d)
 
-    @pytest.mark.parametrize("family, point, products, squares", [
-        (LatticeFamily.FRACTAL, (5, 7, 3), 5, 2), (LatticeFamily.FLOWER22, (5, 7, 3), 5, 3),
-        (LatticeFamily.FLOWER13, (5, 7, 3), 6, 3),
+    @pytest.mark.parametrize("family, point, c, products, squares", [
+        (LatticeFamily.FRACTAL, (5, 7, 3), -13, 5, 2), (LatticeFamily.FLOWER22, (5, 7, 3), -13, 4, 2),
+        (LatticeFamily.FLOWER13, (5, 7, 3), -13, 6, 3),
         # Y = D: the flower13 (t^2)^2 would only be multiplied by 0.
-        (LatticeFamily.FRACTAL, (5, 3, 3), 5, 2), (LatticeFamily.FLOWER22, (5, 3, 3), 5, 3),
-        (LatticeFamily.FLOWER13, (5, 3, 3), 5, 2),
+        (LatticeFamily.FRACTAL, (5, 3, 3), -13, 5, 2), (LatticeFamily.FLOWER22, (5, 3, 3), -13, 4, 2),
+        (LatticeFamily.FLOWER13, (5, 3, 3), -13, 5, 2),
         # X = D: a vanishing scalar still meets its product.
-        (LatticeFamily.FRACTAL, (3, 7, 3), 5, 2), (LatticeFamily.FLOWER22, (3, 7, 3), 5, 3),
-        (LatticeFamily.FLOWER13, (3, 7, 3), 6, 3)],
+        (LatticeFamily.FRACTAL, (3, 7, 3), -13, 5, 2), (LatticeFamily.FLOWER22, (3, 7, 3), -13, 4, 2),
+        (LatticeFamily.FLOWER13, (3, 7, 3), -13, 6, 3),
+        # The fractal on its diagonal X = Y with t = c, and with t != c.
+        (LatticeFamily.FRACTAL, (5, 5, 3), 11, 2, 2), (LatticeFamily.FRACTAL, (5, 5, 3), -13, 5, 2)],
         ids=lambda v: v.value if isinstance(v, LatticeFamily) else str(v).replace(" ", ""))
-    def test_products_of_pair_sized_operands(self, family, point, products, squares):
-        # t^2, c^2 and t c, then each part's own products; t^2, c^2, the
-        # flower22 cofactor and the flower13 (t^2)^2 square one object.
+    def test_products_of_pair_sized_operands(self, family, point, c, products, squares):
+        # The fractal forms t^2, t c and c^2 and one product per part, or on
+        # its diagonal with t = c the squares t^2 and (t^2)^2; flower22 the
+        # square t^2, s = c (2D t + (X - D) c), t^2 times a form in t^2 and
+        # s, and the square s^2; flower13 t^2, t c, c^2, the square (t^2)^2
+        # and one product per part.
         counter = []
-        t, c = CountingRing(11, counter), CountingRing(-13, counter)
+        t, c = CountingRing(11, counter), CountingRing(c, counter)
         joined, cofactor = recursion._rule(family, t, c, *point)
         assert len(counter) == products
         assert sum(counter) == squares
         d = point[2]
-        assert (d * joined.value, d * cofactor.value) == composed(family, 11, -13, *point)
+        assert (d * joined.value, d * cofactor.value) == composed(family, 11, c.value, *point)
 
     @pytest.mark.parametrize("family", list(LatticeFamily))
     def test_matches_composition_at_generation_three(self, family, symbolic_n3):
@@ -223,10 +228,11 @@ class TestRule:
 
 class TestSymbolicStep:
     @pytest.mark.parametrize("family, products", [
-        (LatticeFamily.FRACTAL, 3), (LatticeFamily.FLOWER22, 5), (LatticeFamily.FLOWER13, 6)])
+        (LatticeFamily.FRACTAL, 3), (LatticeFamily.FLOWER22, 4), (LatticeFamily.FLOWER13, 6)])
     def test_products_of_pair_sized_operands(self, monkeypatch, family, products):
         # The fractal forms t^2, t c and one group product, and transposes;
-        # the flowers form t^2, c^2, t c and one product per nonempty group.
+        # flower22 forms t^2, s and one product per part, flower13 t^2, c^2,
+        # t c and one product per nonempty group.
         pair = tutte_pair(family, 2)
         pair_terms = min(map(len, pair))
         sizes = []
@@ -559,14 +565,14 @@ class TestValueForm:
 
     @pytest.mark.parametrize("family, point, c, products, squares", [
         # Generic, where (X - D)(Y - D) = 8 is not D^2 = 9.
-        (LatticeFamily.FLOWER22, (5, 7, 3), -13, 4, 3), (LatticeFamily.FLOWER13, (5, 7, 3), -13, 4, 4),
+        (LatticeFamily.FLOWER22, (5, 7, 3), -13, 4, 4), (LatticeFamily.FLOWER13, (5, 7, 3), -13, 4, 4),
         (LatticeFamily.FRACTAL, (5, 7, 3), -13, 5, 2),
         # On the hyperbola, k = 0: the square k multiplies is not formed.
-        (LatticeFamily.FLOWER22, (6, 6, 3), -13, 3, 2), (LatticeFamily.FLOWER13, (6, 6, 3), -13, 2, 2),
-        (LatticeFamily.FLOWER22, (4, 12, 3), -13, 3, 2), (LatticeFamily.FLOWER13, (4, 12, 3), -13, 2, 2),
+        (LatticeFamily.FLOWER22, (6, 6, 3), -13, 2, 2), (LatticeFamily.FLOWER13, (6, 6, 3), -13, 2, 2),
+        (LatticeFamily.FLOWER22, (4, 12, 3), -13, 2, 2), (LatticeFamily.FLOWER13, (4, 12, 3), -13, 2, 2),
         # On x = 1, a = 0.
         (LatticeFamily.FLOWER22, (3, 7, 3), -13, 3, 1), (LatticeFamily.FLOWER13, (3, 7, 3), -13, 3, 1),
-        # The fractal on its diagonal with t = c, and with t != c, where the rule runs.
+        # The fractal on its diagonal with t = c, where its step squares twice, and with t != c.
         (LatticeFamily.FRACTAL, (5, 5, 3), 11, 2, 2), (LatticeFamily.FRACTAL, (5, 5, 3), -13, 5, 2),
     ])
     def test_products_of_pair_sized_operands(self, family, point, c, products, squares):
