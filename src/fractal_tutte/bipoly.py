@@ -15,7 +15,8 @@ one string, in one of two radices: below ``_DECIMAL_MIN_BYTES`` bytes they
 are hex digits of an int (Karatsuba); from there on they are decimal digits
 of a ``decimal.Decimal``, whose number-theoretic transform multiply is
 several times faster at millions of bits.  Decimal arithmetic runs only in
-``EXACT_CONTEXT``, never in the caller's thread-local context.
+``EXACT_CONTEXT``, never in the caller's thread-local context.  ``p // (x - r)``,
+for an int r, is the exact quotient by synthetic division.
 """
 
 from __future__ import annotations
@@ -318,6 +319,26 @@ class BiPoly:
         return result
 
     # -- beyond the ring ---------------------------------------------------
+
+    def __floordiv__(self, other: "BiPoly") -> "BiPoly":
+        """Exact quotient by x - r, r an int: synthetic division along x for each
+        power of y.  ValueError for another divisor or a nonzero remainder."""
+        if not isinstance(other, BiPoly):
+            return NotImplemented
+        r = -other._terms.get((0, 0), 0)
+        if other != BiPoly.x() - r:
+            raise ValueError(f"divisor {other} is not x - r for an int r")
+        terms, top = self._terms, self.deg_x
+        data: Dict[Exponents, int] = {}
+        for j in {j for _, j in terms}:
+            carry = 0
+            for i in range(top, 0, -1):
+                carry = terms.get((i, j), 0) + r * carry
+                if carry:
+                    data[i - 1, j] = carry
+            if terms.get((0, j), 0) + r * carry:
+                raise ValueError(f"x - {r} does not divide the polynomial")
+        return _canonical(data)
 
     def evaluate(self, x: Union[int, Fraction], y: Union[int, Fraction]) -> Fraction:
         """Exact value at a rational point."""

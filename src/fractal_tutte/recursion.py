@@ -36,7 +36,10 @@ special, so one value form serves both.  With a = X - D, b = Y - D and
 k = D^2 (a b - D^2), zero exactly on the hyperbola (x - 1)(y - 1) = 1,
 a N = ((D t + a c)^2)^2 + k (t^2)^2, and at a = 0, N = D^2 t^2 (4D t c + b t^2).
 The division by a is exact, and on k = 0 the square k multiplies is not
-formed.  The fractal's N is D J + (X - D) C of its step.
+formed.  The fractal's N is D J + (X - D) C of its step.  tutte_symbolic
+runs the flower form on polynomials at d = 1, where N is T: four squares,
+two of quartic size, and BiPoly's exact division by a = x - 1.  The
+fractal's polynomial is its assembled pair, one quartic product a step.
 """
 
 from __future__ import annotations
@@ -80,7 +83,8 @@ def _four_sum(n: int, one: Ring = 1, what: str = "") -> Ring:
 class TuttePair(NamedTuple):
     """Split state: joined part and the (x - 1)-cofactor of the severed part,
     as polynomials, or at a point from eval_pair.  assemble() works on the
-    symbolic pair only; tutte_eval gives the assembled value at a point."""
+    symbolic pair only (tutte_symbolic assembles only the fractal's);
+    tutte_eval gives the assembled value at a point."""
 
     joined: Union[BiPoly, Fraction]
     cofactor: Union[BiPoly, Fraction]
@@ -217,8 +221,13 @@ def tutte_pair(family: LatticeFamily, n: int) -> TuttePair:
 
 
 def tutte_symbolic(family: LatticeFamily, n: int) -> BiPoly:
-    """Full Tutte polynomial of generation n, assembled from the split."""
-    return tutte_pair(family, n).assemble()
+    """Full Tutte polynomial of generation n, refused past the cap before any
+    step: a flower's is tutte_eval's value form on the pair of generation
+    n - 1, the fractal's its assembled pair."""
+    check_generation(n, SYMBOLIC_GENERATION_CAP)
+    if family is LatticeFamily.FRACTAL or not n:
+        return tutte_pair(family, n).assemble()
+    return _VALUES[family](*tutte_pair(family, n - 1), BiPoly.x(), BiPoly.y(), 1)
 
 
 def _homogeneous(x: Fraction, y: Fraction) -> Tuple[int, int, int]:

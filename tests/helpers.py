@@ -95,11 +95,12 @@ class Stepped(Exception):
 
 
 def forbid_steps(monkeypatch) -> None:
-    """Make every family's step, and its last step as a value, raise Stepped,
-    so a test can tell a request refused by the size rule from one that
-    reached its first step."""
+    """Make every family's step, symbolic or pointwise, and its last step as
+    a value, raise Stepped, so a test can tell a request refused by a cap
+    from one that reached its first step."""
     def no_step(*args):
         raise Stepped
+    monkeypatch.setattr(recursion, "step", no_step)
     monkeypatch.setattr(recursion, "_STEPS", dict.fromkeys(LatticeFamily, no_step))
     monkeypatch.setattr(recursion, "_VALUES", dict.fromkeys(LatticeFamily, no_step))
 

@@ -1,4 +1,5 @@
-"""Polynomial core: canonical form, ring laws, evaluation, transposition, JSON."""
+"""Polynomial core: canonical form, ring laws, exact quotient, evaluation,
+transposition, JSON."""
 
 import contextlib
 import decimal
@@ -448,6 +449,48 @@ class TestDivisionByXMinus1:
         assert divisible_by_x_minus_1((X - 1) * a)
         # a(1, y) has degree at most 6, so it is 0 when it vanishes at 7 points.
         assert divisible_by_x_minus_1(a) == all(a.evaluate(1, k) == 0 for k in range(7))
+
+
+class TestExactQuotient:
+    """p // (x - r): the exact quotient by synthetic division."""
+
+    @pytest.mark.parametrize("r", [-2, 0, 1, 3])
+    def test_undoes_the_product(self, r):
+        rng = random.Random(f"quotient {r}")
+        divisor = X - r
+        polys = [ZERO, ONE, Y, BiPoly.const(-7)]
+        # Small sparse ones, and dense ones with 100-bit coefficients.
+        polys += [BiPoly({(rng.randint(0, 6), rng.randint(0, 6)): rng.randint(-99, 99)
+                          for _ in range(rng.randint(1, 12))}) for _ in range(30)]
+        polys += [BiPoly({(i, j): rng.randint(-10 ** 30, 10 ** 30)
+                          for i in range(12) for j in range(9)}) for _ in range(3)]
+        for p in polys:
+            assert (p * divisor) // divisor == p
+
+    @given(bipolys())
+    def test_exact_exactly_when_divisible(self, a):
+        if divisible_by_x_minus_1(a):
+            assert (a // (X - 1)) * (X - 1) == a
+        else:
+            with pytest.raises(ValueError):
+                a // (X - 1)
+
+    @pytest.mark.parametrize("r", [-2, 0, 1, 3])
+    def test_remainder_raises(self, r):
+        for p in [ONE, X * X + 1 - r * r, (X - r) * (X + Y) + Y, BiPoly.const(r or 5)]:
+            with pytest.raises(ValueError):
+                p // (X - r)
+
+    @pytest.mark.parametrize("divisor", [Y - 1, 2 * X - 1, X * X - 1, 1 - X, X * Y - 1, X + Y, ONE,
+                                         BiPoly.const(2), ZERO], ids=str)
+    def test_divisor_of_another_shape_raises(self, divisor):
+        for p in [ZERO, (X - 1) * (X + Y), (2 * X - 1) * (X * X - 1) * (Y - 1)]:
+            with pytest.raises(ValueError):
+                p // divisor
+
+    def test_int_divisor_is_not_supported(self):
+        with pytest.raises(TypeError):
+            (X - 1) // 2
 
 
 def parsed_terms(text):

@@ -50,6 +50,11 @@ def symbolic_n4():
     return {family: tutte_pair(family, 4) for family in LatticeFamily}
 
 
+@pytest.fixture(scope="module")
+def polynomial_n4():
+    return {family: tutte_symbolic(family, 4) for family in LatticeFamily}
+
+
 class TestInitialPair:
     def test_single_edge_state(self):
         pair = initial_pair()
@@ -226,6 +231,24 @@ class TestRule:
             assert step(family, pair) == recursion._rule(family, *pair, X, Y, 1)
 
 
+def pair_sized_products(monkeypatch, pair, call):
+    """call()'s result, and for each BiPoly product it makes of operands with
+    at least as many terms as the smaller part of pair, whether it squares
+    one object."""
+    pair_terms = min(map(len, pair))
+    squares = []
+    multiply = BiPoly.__mul__
+
+    def counted(a, b):
+        if isinstance(b, BiPoly) and min(len(a), len(b)) >= pair_terms:
+            squares.append(a is b)
+        return multiply(a, b)
+    with monkeypatch.context() as patch:
+        patch.setattr(BiPoly, "__mul__", counted)
+        patch.setattr(BiPoly, "__rmul__", counted)
+        return call(), squares
+
+
 class TestSymbolicStep:
     @pytest.mark.parametrize("family, products", [
         (LatticeFamily.FRACTAL, 3), (LatticeFamily.FLOWER22, 4), (LatticeFamily.FLOWER13, 6)])
@@ -234,20 +257,19 @@ class TestSymbolicStep:
         # flower22 forms t^2, s and one product per part, flower13 t^2, c^2,
         # t c and one product per nonempty group.
         pair = tutte_pair(family, 2)
-        pair_terms = min(map(len, pair))
-        sizes = []
-        multiply = BiPoly.__mul__
-
-        def counted(a, b):
-            if isinstance(b, BiPoly):
-                sizes.append(min(len(a), len(b)))
-            return multiply(a, b)
-        monkeypatch.setattr(BiPoly, "__mul__", counted)
-        monkeypatch.setattr(BiPoly, "__rmul__", counted)
-        got = step(family, pair)
-        monkeypatch.undo()
-        assert sum(size >= pair_terms for size in sizes) == products
+        got, squares = pair_sized_products(monkeypatch, pair, lambda: step(family, pair))
+        assert len(squares) == products
         assert got == composed(family, *pair, X, Y, 1)
+
+    @pytest.mark.parametrize("family", [LatticeFamily.FLOWER22, LatticeFamily.FLOWER13])
+    def test_flower_last_step_forms_four_squares(self, monkeypatch, family):
+        # tutte_symbolic's last flower step: u^2, (u^2)^2, t^2 and (t^2)^2,
+        # u = t + (x - 1) c, and no product of two operands.
+        pair = tutte_pair(family, 2)
+        got, squares = pair_sized_products(
+            monkeypatch, pair, lambda: recursion._VALUES[family](*pair, X, Y, 1))
+        assert squares == [True] * 4
+        assert got == step(family, pair).assemble()
 
     @pytest.mark.parametrize("family", list(LatticeFamily))
     def test_matches_composition_on_pairs_that_are_not_dual(self, family):
@@ -302,6 +324,14 @@ class TestAssembledPolynomials:
         cycle = X ** 3 + X * X + X + Y
         assert tutte_symbolic(LatticeFamily.FLOWER22, 1) == cycle
         assert tutte_symbolic(LatticeFamily.FLOWER13, 1) == cycle
+
+    def test_symbolic_equals_the_assembled_pair(self, symbolic_n4, polynomial_n4):
+        # The flowers' last step is the value form, with its division by
+        # x - 1; the pair comes from the steps alone.
+        for family in LatticeFamily:
+            for n in range(4):
+                assert tutte_symbolic(family, n) == tutte_pair(family, n).assemble(), (family, n)
+            assert polynomial_n4[family] == symbolic_n4[family].assemble(), family
 
 
 class TestAgainstOracles:
@@ -645,18 +675,23 @@ class TestByteIdenticalOutput:
         LatticeFamily.FLOWER13: "d14fcb42a12f77df040f10b5540b4f494b45615db775ccb73c788c1d33f39200",
     }
 
-    def test_generation_four_json_digest(self, symbolic_n4):
+    def test_generation_four_json_digest(self, symbolic_n4, polynomial_n4):
+        # Both routes: the assembled pair, and tutte_symbolic, which takes
+        # the flowers' value form for the last step.
         for family, digest in self.N4_JSON_SHA256.items():
-            text = symbolic_n4[family].assemble().to_json()
-            assert hashlib.sha256(text.encode()).hexdigest() == digest, family
+            for text in (symbolic_n4[family].assemble().to_json(), polynomial_n4[family].to_json()):
+                assert hashlib.sha256(text.encode()).hexdigest() == digest, family
 
 
 class TestCaps:
-    def test_symbolic_default_cap(self):
-        with pytest.raises(CapExceeded):
-            tutte_pair(LatticeFamily.FRACTAL, 5)
-        with pytest.raises(CapExceeded):
-            tutte_symbolic(LatticeFamily.FRACTAL, 5)
+    def test_symbolic_default_cap(self, monkeypatch):
+        # Refused before any step: a flower's polynomial steps only n - 1 times.
+        forbid_steps(monkeypatch)
+        for family in LatticeFamily:
+            with pytest.raises(CapExceeded):
+                tutte_pair(family, 5)
+            with pytest.raises(CapExceeded):
+                tutte_symbolic(family, 5)
 
     def test_eval_cap(self):
         with pytest.raises(CapExceeded):
