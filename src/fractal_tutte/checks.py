@@ -33,7 +33,7 @@ def _gate(results: List[GateResult], name: str, passed: bool,
 
 
 def run_oracle_gates(n_max: int = ORACLE_GATE_CAP) -> List[GateResult]:
-    """Recursion vs both oracles, and the split vs the census split."""
+    """The polynomial tutte prints vs both oracles, and the split vs the census split."""
     if not 0 <= n_max <= ORACLE_GATE_CAP:
         raise ValueError(f"oracle gates run generations 0 to {ORACLE_GATE_CAP}, not {n_max}")
     results: List[GateResult] = []
@@ -42,7 +42,7 @@ def run_oracle_gates(n_max: int = ORACLE_GATE_CAP) -> List[GateResult]:
         for n in range(n_max + 1):
             g = build_lattice(family, n)
             pair = recursion.tutte_pair(family, n)
-            symbolic = pair.assemble()
+            symbolic = recursion.tutte_symbolic(family, n)
             joined, severed = oracle.split_tutte(g)
             expansion = joined + severed
             contraction = oracle.tutte_deletion_contraction(g)

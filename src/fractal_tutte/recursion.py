@@ -271,30 +271,35 @@ def lowest_terms(numerator: Ring, denominator: Ring, base: int) -> Tuple[Ring, R
             numerator, denominator, power = num, den, power * power
 
 
-def _eval_numerators(family: LatticeFamily, n: int, big_x: int, big_y: int, d: int,
-                     base: int, power_bits: int = 0, one: Ring = 1) -> Tuple[Ring, Ring, Ring]:
-    """(J, C, den) in the ring of one: (J/den, C/den) is the split state at
-    x = X/D, y = Y/D times (D/base)^e, e = 2 (4^n - 1) / 3, so base = D gives
-    the state itself.
-
-    Before the first step the size rule predicts e bits(max(|X|, |Y|, D, base))
-    plus the bits of any power the caller forms with the result, power_bits:
-    J and C are homogeneous of degree e in (X, Y, D), and den divides base^e.
-
-    Each step runs in the ring and sets den -> den^4 base^2, so every prime of
-    den divides base; then J, C and den are divided by g = gcd(J, C, den, base),
-    found from their remainders by base, while g > 1, and no common factor is
-    carried into the next step to be raised to the fourth.
-    """
+def _check_value(n: int, big_x: int, big_y: int, d: int, base: int, power_bits: int = 0) -> None:
+    """The size rule of an exact value of generation n at x = X/D, y = Y/D reduced
+    against base, made once before any step: J, C and N are homogeneous of degree
+    e = 2 (4^n - 1) / 3 in (X, Y, D) and den divides base^e, so e bits(max(|X|, |Y|,
+    D, base)), plus power_bits for a power the caller forms with the value."""
     top = max(abs(big_x), abs(big_y), d, base)
     _check_size("exact value", 2 * _four_sum(n, what="exact value") * top.bit_length()
                 + power_bits)
+
+
+def _eval_numerators(family: LatticeFamily, n: int, big_x: Ring, big_y: Ring, d: int,
+                     base: int, one: Ring = 1) -> Tuple[Ring, Ring, Ring]:
+    """(J, C, den) in the ring of one: (J/den, C/den) is the split state at
+    x = X/D, y = Y/D times (D/base)^e, e = 2 (4^n - 1) / 3, so base = D gives
+    the state itself.  The caller sizes the request with _check_value first.
+
+    Each step runs _rule in the ring, which needs only + - * of it.  When
+    base > 1 it sets den -> den^4 base^2, so every prime of den divides base;
+    then J, C and den are divided by g = gcd(J, C, den, base), found from
+    their remainders by base, while g > 1, and no common factor is carried
+    into the next step to be raised to the fourth.  At base 1 den stays one.
+    """
     joined = cofactor = den = one
     for _ in range(n):
         joined, cofactor = _rule(family, joined, cofactor, big_x, big_y, d)
-        den = den ** 4 * base * base
-        while (g := math.gcd(int(joined % base), int(cofactor % base), int(den % base), base)) > 1:
-            joined, cofactor, den = joined // g, cofactor // g, den // g
+        if base > 1:
+            den = den ** 4 * base * base
+            while (g := math.gcd(int(joined % base), int(cofactor % base), int(den % base), base)) > 1:
+                joined, cofactor, den = joined // g, cofactor // g, den // g
     return joined, cofactor, den
 
 
@@ -304,19 +309,14 @@ def _eval_value(family: LatticeFamily, n: int, big_x: int, big_y: int, d: int,
     at x = X/D, y = Y/D times (D/base)^e, e = 2 (4^n - 1) / 3, as for
     _eval_numerators, so base = D gives the value itself.
 
-    _eval_numerators runs n - 1 steps, and the family's value form makes
-    the last one as N alone, over den^4 base^2.  Its one size check is the
-    one for generation n: to its power_bits are added the bits the last step
-    adds, 2 * 4^(n - 1) = 4^n / 2 times bits(max(|X|, |Y|, D, base)).
+    It is sized by _check_value for generation n, power_bits included, before
+    any step; _eval_numerators runs n - 1 steps, and the family's value form
+    makes the last one as N alone, over den^4 base^2.
     """
-    # 3 (4^n - 1) / 3 + 1 = 4^n, refused before it is formed.
-    top = max(abs(big_x), abs(big_y), d, base)
-    last = (3 * _four_sum(n, what="exact value") + 1) // 2 * top.bit_length()
+    _check_value(n, big_x, big_y, d, base, power_bits)
     if not n:  # the single edge: J = C = den = 1, and the value is x
-        _check_size("exact value", power_bits)
         return one * big_x, one
-    joined, cofactor, den = _eval_numerators(family, n - 1, big_x, big_y, d, base,
-                                             power_bits + last, one)
+    joined, cofactor, den = _eval_numerators(family, n - 1, big_x, big_y, d, base, one)
     return _VALUES[family](joined, cofactor, big_x, big_y, d), den ** 4 * base * base
 
 
@@ -325,6 +325,7 @@ def eval_pair(family: LatticeFamily, n: int,
     """Split state evaluated at a rational point, without symbolic blowup:
     each part of (J/den, C/den) is brought to lowest terms once."""
     big_x, big_y, d = _homogeneous(Fraction(x), Fraction(y))
+    _check_value(n, big_x, big_y, d, d)
     joined, cofactor, den = _eval_numerators(family, n, big_x, big_y, d, d)
     return TuttePair(_coprime(*lowest_terms(joined, den, d)),
                      _coprime(*lowest_terms(cofactor, den, d)))

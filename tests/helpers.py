@@ -105,6 +105,43 @@ def forbid_steps(monkeypatch) -> None:
     monkeypatch.setattr(recursion, "_VALUES", dict.fromkeys(LatticeFamily, no_step))
 
 
+class Residue:
+    """An int mod the prime P = 2^61 - 1 with only + - *, ==, bool, and // as
+    the product by an inverse: a ring with no abs, bit_length, % or int()."""
+
+    P = (1 << 61) - 1
+
+    def __init__(self, value: int):
+        self.value = value % self.P
+
+    @staticmethod
+    def _int(other) -> int:
+        return other.value if isinstance(other, Residue) else other
+
+    def __add__(self, other):
+        return Residue(self.value + self._int(other))
+
+    def __sub__(self, other):
+        return Residue(self.value - self._int(other))
+
+    def __rsub__(self, other):
+        return Residue(other - self.value)
+
+    def __mul__(self, other):
+        return Residue(self.value * self._int(other))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __floordiv__(self, other):
+        return self * pow(self._int(other), -1, self.P)
+
+    def __eq__(self, other):
+        return (self.value - self._int(other)) % self.P == 0
+
+    def __bool__(self):
+        return bool(self.value)
+
+
 # Potts points (q, v), v = P/F, whose numerator P shares a prime with the
 # Tutte-plane point's denominator D, then one whose numerator does not.
 POTTS_POINTS = [(Fraction(10), Fraction(-20, 3)), (Fraction(7, 4), Fraction(6, 5)),

@@ -507,6 +507,20 @@ class TestGrowth:
         assert record["n_max"] == 4
         assert [n for n, _ in record["sequence"]] == [1, 2, 3, 4]
 
+    # SHA-256 of growth --n-max 12 stdout, recorded while the sequence took
+    # its logarithms from a table of ln 2, ln 3 and 2 ln 2.
+    N_MAX_12_SHA256 = {
+        "fractal": "a036e217201d68bae42202ce1a94a961bb2bc845f0bf30f26ec5e1ef8a68ed85",
+        "flower22": "642772cf77c5e4e0d513ce7be839f8f99dfc3a75c818f4fdfbee7029e76c4bc5",
+        "flower13": "55bb886fc7630235afc506aaf960797c65d81a8c1fc1e8e2b2262471c9bd36b9",
+    }
+
+    @pytest.mark.parametrize("family", N_MAX_12_SHA256)
+    def test_stdout_digest(self, capsys, family):
+        code, out, _ = run(capsys, "growth", "--family", family, "--n-max", "12")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.N_MAX_12_SHA256[family]
+
     def test_n_max_bounds(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["growth", "--family", "fractal", "--n-max", "0"])
@@ -574,6 +588,25 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--n-max", "1")
         assert code == 1
         assert "FAIL" in out
+        assert "first failing gate" in err
+
+
+    def test_detects_a_mutated_flower_value_form(self, capsys, monkeypatch):
+        # (X - D) t^2 more in both flowers' last step: zero at (1, 1), the only
+        # point where the closed-form gates reach the flowers, so only the
+        # recursion=... gates, which compare the polynomial tutte prints, see it.
+        original = recursion._flower_value
+
+        def broken(t, c, big_x, big_y, d):
+            return original(t, c, big_x, big_y, d) + (big_x - d) * (t * t)
+
+        values = dict(recursion._VALUES)
+        values[LatticeFamily.FLOWER22] = values[LatticeFamily.FLOWER13] = broken
+        monkeypatch.setattr(recursion, "_VALUES", values)
+        code, out, err = run(capsys, "verify", "--n-max", "1")
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 4 and all("recursion=" in line for line in failed)
         assert "first failing gate" in err
 
 

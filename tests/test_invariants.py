@@ -181,9 +181,9 @@ class TestSizeRuleBoundary:
 class TestPastGeneration12:
     """(4^n - 1) / 3 is past the cap from n = 13 on, and the size rule predicts
     at least that many bits for every exact value but the bicycle-space
-    dimension (see TestBicycleDimension).  At n = 2^23, where (4^n - 1) / 3
-    has 2^24 - 1 bits, each is refused before 4^n is formed, as the diagonal
-    value is in TestDiagonal."""
+    dimension (see TestBicycleDimension), so each is refused at n = 13.  At
+    n = 2^23, where (4^n - 1) / 3 has 2^24 - 1 bits, each is refused before
+    4^n is formed, as the diagonal value is in TestDiagonal."""
 
     N = 2 ** 23
     REQUESTS = {
@@ -197,12 +197,19 @@ class TestPastGeneration12:
         "growth_constant": lambda n: growth_constant(LatticeFamily.FRACTAL, n),
     }
 
-    @pytest.mark.parametrize("request_name", REQUESTS)
-    def test_refused_at_once(self, request_name):
+    def assert_refused_at_once(self, request_name, n):
         start = time.perf_counter()
         with pytest.raises(CapExceeded):
-            self.REQUESTS[request_name](self.N)
+            self.REQUESTS[request_name](n)
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("request_name", REQUESTS)
+    def test_refused_at_once(self, request_name):
+        self.assert_refused_at_once(request_name, self.N)
+
+    @pytest.mark.parametrize("request_name", REQUESTS)
+    def test_refused_at_once_at_generation_13(self, request_name):
+        self.assert_refused_at_once(request_name, 13)
 
 
 class TestGrowthConstants:

@@ -201,6 +201,10 @@ class TestMultigraphValidation:
         with pytest.raises(ValueError):
             Multigraph(3, Edges([0, 1], [2, 3]), 0, 1)
 
+    def test_vertex_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="vertex_count must be positive"):
+            Multigraph(0, (), 0, 0)
+
     def test_edgeless_graph_is_accepted(self):
         g = Multigraph(2, (), 0, 1)
         assert g.edge_count == 0 and g.edges == Edges([], [])
@@ -269,6 +273,18 @@ class TestEdgeListFormat:
     def test_endpoint_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             from_edge_list("p 2 1 0 1\ne 0 2\n")
+
+    def test_blank_lines_are_skipped(self):
+        assert from_edge_list("\np 2 1 0 1\n  \ne 0 1\n\n") == Multigraph(2, ((0, 1),), 0, 1)
+
+    @pytest.mark.parametrize("text, message", [
+        ("p 2 1 0 1\np 2 1 0 1\ne 0 1\n", "duplicate header line"),
+        ("p 2 1 0\ne 0 1\n", "malformed header"),
+        ("p 2 1 0 1\ne 0 1 1\n", "malformed edge line"),
+    ])
+    def test_malformed_lines_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            from_edge_list(text)
 
     def test_unknown_line_rejected(self):
         with pytest.raises(ValueError):

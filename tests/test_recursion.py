@@ -34,7 +34,7 @@ from fractal_tutte.recursion import (
     tutte_symbolic,
 )
 
-from helpers import POTTS_POINTS, Stepped, forbid_steps
+from helpers import POTTS_POINTS, Residue, Stepped, forbid_steps
 
 X = BiPoly.x()
 Y = BiPoly.y()
@@ -641,6 +641,31 @@ class TestValueRoute:
                                          expected, Decimal)
 
 
+class TestAnyRing:
+    """The driver and the value forms run in a ring with only + - *, ==, bool
+    and an exact //: the residues mod 2^61 - 1, at the point's image x = X/D,
+    y = Y/D in that field, reduced against base 1."""
+
+    def test_value_equals_tutte_eval_mod_p(self):
+        rng = random.Random(6161)
+        # x = 1; the hyperbola (x - 1)(y - 1) = 1; the diagonal, and (2, 2) on both.
+        points = [(Fraction(1), Fraction(5, 7)), (Fraction(3), Fraction(3, 2)),
+                  (Fraction(5, 2), Fraction(5, 2)), (Fraction(2), Fraction(2))]
+        points += [(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(6)]
+        for family in LatticeFamily:
+            for x, y in points:
+                big_x, big_y, d = recursion._homogeneous(x, y)
+                x_p, y_p = Residue(big_x) // d, Residue(big_y) // d
+                for n in range(1, 8):
+                    joined, cofactor, _ = recursion._eval_numerators(
+                        family, n - 1, x_p, y_p, 1, 1, Residue(1))
+                    got = recursion._VALUES[family](joined, cofactor, x_p, y_p, 1)
+                    expected = tutte_eval(family, n, x, y)
+                    assert got == Residue(expected.numerator) // expected.denominator, \
+                        (family, n, x, y)
+
+
 class TestStructuralInvariants:
     def test_degree_law(self, symbolic_n4):
         from fractal_tutte.lattices import lattice_counts
@@ -717,6 +742,11 @@ class TestCaps:
 
 
 class TestPairType:
+    def test_assembly_drops_a_term_that_cancels(self):
+        # -x + (x - 1) 1: the cofactor's x cancels the joined part's -x.
+        pair = TuttePair(BiPoly({(1, 0): -1}), BiPoly.one())
+        assert pair.assemble().terms() == {(0, 0): -1}
+
     def test_pair_is_immutable(self):
         pair = TuttePair(BiPoly.one(), BiPoly.one())
         with pytest.raises(AttributeError):
